@@ -8,8 +8,6 @@ Outputs are deterministic for a fixed --seed, for any --workers count.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -18,17 +16,17 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, ParameterError, SpecError
 from .harness import (
-    McConfig,
+    RESULT_COLUMNS,
     RegimeSpec,
     consistency_diagnostic,
     embedding_equivalence_check,
     enhanceability_demo,
-    estimate_rejection_prob,
     example2_nontestability_curve,
     lan_remainder_check,
     rows_to_csv,
     run_regime,
 )
+from .mc import McConfig, estimate_rejection_prob
 from .mixture import find_blind_spot, mixture_diagnostics
 from .models import (
     FixedDesignRegression,
@@ -182,141 +180,12 @@ def _build_model(kind: str, n: int, d: int):
     raise SpecError(f"unknown model {kind!r}")
 
 
-def _check_alpha(alpha: float) -> float:
-    if not (0.0 < alpha < 1.0):
-        raise SpecError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return alpha
+def _mc(args: argparse.Namespace) -> McConfig:
+    return McConfig(reps=args.reps, master_seed=args.seed, workers=args.workers)
 
 
-def _dict_rows_to_csv(rows: list[dict], columns: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
-    return buf.getvalue()
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def render(args: argparse.Namespace) -> str:
-    """Execute the parsed command and return the serialized output."""
-    sub = args.subcommand
-
-    if sub == "simulate":
-        mc = McConfig(reps=args.reps, master_seed=args.seed, workers=args.workers)
-        model = _build_model(args.model, args.n, args.d)
-        test = make_test(args.test, args.n, args.d, model=model)
-        theta = _parse_theta(args.theta, args.n, args.d)
-        estimate = estimate_rejection_prob(test, model, theta, mc)
-        payload = {
-            "test": test.name,
-            "model": args.model,
-            "n": args.n,
-            "d": args.d,
-            "theta": [float(v) for v in np.atleast_1d(theta)],
-            "estimate": estimate.to_dict(),
-        }
-        if args.format == "csv":
-            return _dict_rows_to_csv(
-                [{"test": test.name, "model": args.model, "n": args.n, "d": args.d,
-                  "mean": estimate.mean, "se": estimate.se, "reps": estimate.reps,
-                  "seed": estimate.seed}],
-                ["test", "model", "n", "d", "mean", "se", "reps", "seed"],
-            )
-        return _json_text(payload)
-
-    if sub == "power-curve":
-        regime = RegimeSpec(d_rule=args.d_rule, n_grid=tuple(_parse_grid(args.n_grid)),
-                            alpha=_check_alpha(args.alpha))
-        if args.curve == "consistency":
-            rule = _theta_rule(args.theta_rule)
-            rows = consistency_diagnostic(rule, regime)
-            if args.format == "json":
-                return _json_text(rows)
-            return _dict_rows_to_csv(rows, ["n", "d", "criterion", "exact_chi2_power"])
-        mc = McConfig(reps=args.reps, master_seed=args.seed, workers=args.workers)
-        theta = None
-        if args.theta is not None:
-            theta = _parse_theta(args.theta, regime.n_grid[0], regime.d_of(regime.n_grid[0]))
-        rows = run_regime(regime, args.test, mc, model_kind=args.model, theta=theta,
-                          timings=args.timings)
-        if args.format == "json":
-            return _json_text([row.__dict__ for row in rows])
-        return rows_to_csv(rows, timings=args.timings)
-
-    if sub == "blind-spot":
-        mc = McConfig(reps=args.reps, master_seed=args.seed, workers=args.workers)
-        model = GaussianLocationModel(n=args.n, d=args.d)
-        test = make_test(args.test, args.n, args.d, model=model)
-        report = find_blind_spot(test, model, mc)
-        if args.format == "csv":
-            row = {"test": report.test_name, "n": report.n, "d": report.d,
-                   "coordinate": report.coordinate, "power_at_spike": report.power_at_spike.mean,
-                   "size": report.size.mean, "average_spike_power": report.average_spike_power.mean,
-                   "gap_bound": report.gap_bound}
-            return _dict_rows_to_csv([row], list(row.keys()))
-        return _json_text(report.to_dict())
-
-    if sub == "bounds":
-        diag = mixture_diagnostics(args.n, args.d)
-        if args.format == "csv":
-            return _dict_rows_to_csv([diag.to_dict()],
-                                     ["n", "d", "second_moment_minus_one", "paper_bound",
-                                      "power_gap_bound"])
-        return _json_text(diag.to_dict())
-
-    if sub == "lan-check":
-        mc = McConfig(reps=args.reps, master_seed=args.seed, workers=args.workers)
-        try:
-            h = np.asarray([float(part) for part in args.h.split(",")], dtype=float)
-        except ValueError as exc:
-            raise SpecError(f"bad local parameter {args.h!r}: expected comma-separated floats") from exc
-        d = h.shape[0]
-        factories = {
-            "gaussian": lambda n: GaussianLocationModel(n=n, d=d),
-            "scaled": lambda n: ScaledGaussianModel(n=n, d=d),
-            "regression": lambda n: FixedDesignRegression.default_design(n=n, d=d),
-        }
-        rows = lan_remainder_check(factories[args.model], h, _parse_grid(args.n_grid), mc)
-        if args.format == "csv":
-            return _dict_rows_to_csv(rows, ["n", "d", "remainder_p95", "remainder_max"])
-        return _json_text({"model": args.model, "h": [float(v) for v in h], "rows": rows,
-                           "reps": mc.reps, "seed": mc.master_seed})
-
-    if sub == "embed-check":
-        mc = McConfig(reps=args.reps, master_seed=args.seed, workers=args.workers)
-        theta = _parse_theta(args.theta, args.n, args.d1)
-        report = embedding_equivalence_check(args.d1, args.d2, theta, args.n, mc)
-        if args.format == "csv":
-            rows = [{"coordinate": item["coordinate"], "statistic": item["statistic"],
-                     "p_value": item["p_value"]} for item in report["ks"]]
-            return _dict_rows_to_csv(rows, ["coordinate", "statistic", "p_value"])
-        return _json_text(report)
-
-    if sub == "nontestability":
-        rows = example2_nontestability_curve(_parse_grid(args.n_grid))
-        if args.format == "json":
-            return _json_text(rows)
-        return _dict_rows_to_csv(rows, ["n", "tv_bound"])
-
-    if sub == "demo":
-        if args.format == "csv":
-            raise SpecError("the demo report is nested; only --format json is supported")
-        mc = McConfig(reps=args.reps, master_seed=args.seed, workers=args.workers)
-        regime = RegimeSpec(d_rule=args.d_rule, n_grid=tuple(_parse_grid(args.n_grid)),
-                            alpha=_check_alpha(args.alpha))
-        return _json_text(enhanceability_demo(args.test, regime, mc))
-
-    raise SpecError(f"unknown subcommand {sub!r}")
+def _regime(args: argparse.Namespace) -> RegimeSpec:
+    return RegimeSpec(d_rule=args.d_rule, n_grid=tuple(_parse_grid(args.n_grid)), alpha=args.alpha)
 
 
 def _theta_rule(spec: str):
@@ -332,7 +201,10 @@ def _theta_rule(spec: str):
             key, _, raw = arg.partition("=")
             if key.strip() != "c":
                 raise SpecError(f"unknown decay option in {spec!r}")
-            scale = float(raw)
+            try:
+                scale = float(raw)
+            except ValueError as exc:
+                raise SpecError(f"bad decay scale {raw!r} in {spec!r}: expected a float") from exc
 
         def rule(n: int, d: int) -> np.ndarray:
             theta = np.zeros(d)
@@ -341,6 +213,119 @@ def _theta_rule(spec: str):
 
         return rule
     raise SpecError(f"unknown theta rule {spec!r}")
+
+
+# Subcommand handlers: each returns (JSON payload, CSV rows, CSV columns).
+
+def _simulate(args: argparse.Namespace):
+    mc = _mc(args)
+    model = _build_model(args.model, args.n, args.d)
+    test = make_test(args.test, args.n, args.d, model=model)
+    theta = _parse_theta(args.theta, args.n, args.d)
+    estimate = estimate_rejection_prob(test, model, theta, mc)
+    payload = {
+        "test": test.name,
+        "model": args.model,
+        "n": args.n,
+        "d": args.d,
+        "theta": [float(v) for v in np.atleast_1d(theta)],
+        "estimate": estimate.to_dict(),
+    }
+    row = {"test": test.name, "model": args.model, "n": args.n, "d": args.d, **estimate.to_dict()}
+    return payload, [row], list(row)
+
+
+def _power_curve(args: argparse.Namespace):
+    regime = _regime(args)
+    if args.curve == "consistency":
+        rows = consistency_diagnostic(_theta_rule(args.theta_rule), regime)
+        return rows, rows, ["n", "d", "criterion", "exact_chi2_power"]
+    mc = _mc(args)
+    theta = None
+    if args.theta is not None:
+        theta = _parse_theta(args.theta, regime.n_grid[0], regime.d_of(regime.n_grid[0]))
+    results = run_regime(regime, args.test, mc, model_kind=args.model, theta=theta,
+                         timings=args.timings)
+    rows = [vars(row) for row in results]
+    if not args.timings:
+        return rows, rows, list(RESULT_COLUMNS)
+    timed = [{**row, "wall_time_s": f"{row['wall_time_s']:.3f}"} for row in rows]
+    return rows, timed, [*RESULT_COLUMNS, "wall_time_s"]
+
+
+def _blind_spot(args: argparse.Namespace):
+    mc = _mc(args)
+    model = GaussianLocationModel(n=args.n, d=args.d)
+    test = make_test(args.test, args.n, args.d, model=model)
+    report = find_blind_spot(test, model, mc)
+    row = {"test": report.test_name, "n": report.n, "d": report.d,
+           "coordinate": report.coordinate, "power_at_spike": report.power_at_spike.mean,
+           "size": report.size.mean, "average_spike_power": report.average_spike_power.mean,
+           "gap_bound": report.gap_bound}
+    return report.to_dict(), [row], list(row)
+
+
+def _bounds(args: argparse.Namespace):
+    diag = mixture_diagnostics(args.n, args.d).to_dict()
+    return diag, [diag], list(diag)
+
+
+def _lan_check(args: argparse.Namespace):
+    mc = _mc(args)
+    try:
+        h = np.asarray([float(part) for part in args.h.split(",")], dtype=float)
+    except ValueError as exc:
+        raise SpecError(f"bad local parameter {args.h!r}: expected comma-separated floats") from exc
+    d = h.shape[0]
+    factories = {
+        "gaussian": lambda n: GaussianLocationModel(n=n, d=d),
+        "scaled": lambda n: ScaledGaussianModel(n=n, d=d),
+        "regression": lambda n: FixedDesignRegression.default_design(n=n, d=d),
+    }
+    rows = lan_remainder_check(factories[args.model], h, _parse_grid(args.n_grid), mc)
+    payload = {"model": args.model, "h": [float(v) for v in h], "rows": rows,
+               "reps": mc.reps, "seed": mc.master_seed}
+    return payload, rows, ["n", "d", "remainder_p95", "remainder_max"]
+
+
+def _embed_check(args: argparse.Namespace):
+    mc = _mc(args)
+    theta = _parse_theta(args.theta, args.n, args.d1)
+    report = embedding_equivalence_check(args.d1, args.d2, theta, args.n, mc)
+    return report, report["ks"], ["coordinate", "statistic", "p_value"]
+
+
+def _nontestability(args: argparse.Namespace):
+    rows = example2_nontestability_curve(_parse_grid(args.n_grid))
+    return rows, rows, ["n", "tv_bound"]
+
+
+def _demo(args: argparse.Namespace):
+    # fail before any Monte Carlo work: the report has no flat CSV form
+    if args.format == "csv":
+        raise SpecError("the demo report is nested; only --format json is supported")
+    mc = _mc(args)
+    return enhanceability_demo(args.test, _regime(args), mc), None, None
+
+
+_COMMANDS = {
+    "simulate": _simulate,
+    "power-curve": _power_curve,
+    "blind-spot": _blind_spot,
+    "bounds": _bounds,
+    "lan-check": _lan_check,
+    "embed-check": _embed_check,
+    "nontestability": _nontestability,
+    "demo": _demo,
+}
+
+
+def render(args: argparse.Namespace) -> str:
+    """Execute the parsed command and return the serialized output."""
+    payload, rows, columns = _COMMANDS[args.subcommand](args)
+    if args.format == "csv":
+        return rows_to_csv(rows, columns)
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _write_output(text: str, out: str) -> None:

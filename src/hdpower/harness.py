@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import chi2_quantile, gaussian_tv, noncentral_chi2_cdf
 from .errors import DomainError, SpecError
-from .mc import McConfig, PowerEstimate, block_layout, estimate_rejection_prob
+from .mc import McConfig, estimate_rejection_prob, map_blocks
 from .mixture import find_blind_spot
 from .models import FixedDesignRegression, GaussianLocationModel, embed
 from .rng import substream
@@ -33,14 +33,11 @@ from .testfuncs import (
 )
 
 __all__ = [
-    "McConfig",
-    "PowerEstimate",
     "RegimeSpec",
     "ResultRow",
     "consistency_diagnostic",
     "embedding_equivalence_check",
     "enhanceability_demo",
-    "estimate_rejection_prob",
     "example2_nontestability_curve",
     "ks_two_sample",
     "lan_remainder_check",
@@ -136,32 +133,25 @@ class ResultRow:
                 raise DomainError(f"{label} = {value!r} outside [0, 1]")
 
 
-def rows_to_csv(rows: list[ResultRow], timings: bool = False) -> str:
-    """RFC-4180 CSV with a header row; the wall-time column is opt-in so the
-    default output is byte-reproducible."""
+def rows_to_csv(rows: list[dict[str, Any]], columns) -> str:
+    """RFC-4180 CSV with a header row: one line per row, cells in ``columns``
+    order. ``None`` is an empty cell, a float is written with ``repr`` (so it
+    round-trips exactly), anything else with ``str``."""
     buf = io.StringIO()
-    columns = RESULT_COLUMNS + (("wall_time_s",) if timings else ())
     writer = csv.writer(buf)
     writer.writerow(columns)
     for row in rows:
-        record = [
-            row.n,
-            row.d,
-            row.test,
-            row.theta,
-            _fmt(row.size),
-            _fmt(row.power),
-            _fmt(row.enhanced_power),
-            _fmt(row.gap_bound),
-        ]
-        if timings:
-            record.append("" if row.wall_time_s is None else f"{row.wall_time_s:.3f}")
-        writer.writerow(record)
+        cells = []
+        for column in columns:
+            value = row[column]
+            if value is None:
+                cells.append("")
+            elif isinstance(value, float):
+                cells.append(repr(float(value)))
+            else:
+                cells.append(str(value))
+        writer.writerow(cells)
     return buf.getvalue()
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
 
 
 def run_regime(
@@ -281,15 +271,14 @@ def lan_remainder_check(
         theta = model.require_member(h / math.sqrt(n))
         info = model.information_matrix()
         quad = 0.5 * float(h @ info @ h)
-        remainders = np.empty(mc.reps)
-        offset = 0
-        for b, m in block_layout(mc.reps, model.statistic_dim):
-            rng = substream(mc.master_seed, f"lan-check:n={n}", b)
+
+        def remainder(rng: np.random.Generator, m: int) -> np.ndarray:
             stats = model.sample_statistic(np.zeros(model.d), rng, m)
             loglr = model.log_likelihood_ratio(stats, theta)
             expansion = model.central_sequence(stats) @ h - quad
-            remainders[offset : offset + m] = np.abs(loglr - expansion)
-            offset += m
+            return np.abs(loglr - expansion)
+
+        remainders = np.concatenate(map_blocks(mc, f"lan-check:n={n}", model.statistic_dim, remainder))
         out.append(
             {
                 "n": n,
@@ -341,13 +330,9 @@ def embedding_equivalence_check(
     theta_big = big.require_member(embed(theta_small, d2))
 
     def draw(model, point, tag):
-        out = np.empty((mc.reps, model.d))
-        offset = 0
-        for b, m in block_layout(mc.reps, model.d):
-            rng = substream(mc.master_seed, tag, b)
-            out[offset : offset + m] = model.sample_statistic(point, rng, m)
-            offset += m
-        return out
+        return np.concatenate(
+            map_blocks(mc, tag, model.d, lambda rng, m: model.sample_statistic(point, rng, m))
+        )
 
     stats_small = draw(small, theta_small, "embed-check:small")
     stats_big = draw(big, theta_big, "embed-check:big")

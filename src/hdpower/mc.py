@@ -3,7 +3,8 @@
 Replications are partitioned into fixed-size blocks; block ``b`` of an
 operation draws from the substream keyed by (master_seed, tag, b) and block
 results are reduced in block order. Both facts together make every estimate
-bit-identical for any worker count.
+bit-identical for any worker count. ``map_blocks`` is the one place that
+applies this rule; every sampling loop in the package goes through it.
 """
 
 from __future__ import annotations
@@ -97,6 +98,25 @@ def run_blocks(
         return [f.result() for f in futures]
 
 
+def map_blocks(
+    mc: McConfig,
+    tag: str,
+    elems_per_rep: int,
+    fn: Callable[[np.random.Generator, int], Any],
+) -> list[Any]:
+    """Run ``fn(rng, m)`` on every block of ``mc.reps`` replications and
+    return the results in block order.
+
+    Block ``b`` of size ``m`` gets ``rng = substream(mc.master_seed, tag, b)``,
+    so the results depend on the seed and the tag, never on ``mc.workers``.
+    """
+
+    def work(b: int, m: int) -> Any:
+        return fn(substream(mc.master_seed, tag, b), m)
+
+    return run_blocks(work, block_layout(mc.reps, elems_per_rep), mc.workers)
+
+
 def summarize(count: int, total: float, total_sq: float, seed: int) -> PowerEstimate:
     """Mean and sample-variance standard error from merged block sums."""
     mean = total / count
@@ -136,15 +156,11 @@ def estimate_rejection_prob(test, model, theta, mc: McConfig, tag: str = "reject
     else:
         raise DomainError(f"unknown test input kind {test.consumes!r}")
 
-    blocks = block_layout(mc.reps, elems)
-
-    def work(b: int, m: int) -> tuple[int, float, float]:
-        rng = substream(mc.master_seed, tag, b)
-        draws = sample(theta, rng, m)
-        vals = test.evaluate_batch(draws)
+    def work(rng: np.random.Generator, m: int) -> tuple[int, float, float]:
+        vals = test.evaluate_batch(sample(theta, rng, m))
         return m, float(vals.sum()), float((vals * vals).sum())
 
-    parts = run_blocks(work, blocks, mc.workers)
+    parts = map_blocks(mc, tag, elems, work)
     count = sum(p[0] for p in parts)
     total = math.fsum(p[1] for p in parts)
     total_sq = math.fsum(p[2] for p in parts)
@@ -157,6 +173,7 @@ __all__ = [
     "PowerEstimate",
     "block_layout",
     "estimate_rejection_prob",
+    "map_blocks",
     "run_blocks",
     "summarize",
 ]

@@ -24,9 +24,8 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError
-from .mc import McConfig, PowerEstimate, block_layout, run_blocks, summarize
+from .mc import McConfig, PowerEstimate, map_blocks, summarize
 from .models import GaussianLocationModel, SpikeAlternative, spike_alternative, spike_magnitude
-from .rng import substream
 from .testfuncs import TestFunction
 
 
@@ -159,10 +158,7 @@ def _spike_scan(
     else:
         raise DomainError(f"unknown test input kind {test.consumes!r}")
 
-    blocks = block_layout(mc.reps, elems)
-
-    def work(b: int, m: int):
-        rng = substream(mc.master_seed, tag, b)
+    def work(rng: np.random.Generator, m: int):
         draws = rng.standard_normal(shape(m))
         null_vals = test.evaluate_batch(draws)
         coord_sum = np.empty(d)
@@ -188,7 +184,7 @@ def _spike_scan(
             float((pooled * pooled).sum()),
         )
 
-    parts = run_blocks(work, blocks, mc.workers)
+    parts = map_blocks(mc, tag, elems, work)
     reps = sum(p[0] for p in parts)
     null_est = summarize(
         reps, math.fsum(p[1] for p in parts), math.fsum(p[2] for p in parts), mc.master_seed

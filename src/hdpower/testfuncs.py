@@ -28,7 +28,7 @@ from .distributions import (
     std_normal_quantile,
 )
 from .errors import CalibrationError, DomainError, SpecError
-from .mc import McConfig, block_layout
+from .mc import McConfig, map_blocks
 from .models import FixedDesignRegression, GaussianLocationModel, spike_magnitude
 from .rng import substream
 
@@ -245,13 +245,10 @@ def truncated_score_test(
             f"only a {cov_coef:.3g} fraction of the score variance; increase C"
         )
 
-    norms = np.empty(calibration.reps)
-    offset = 0
-    for b, m in block_layout(calibration.reps, d):
-        rng = substream(calibration.master_seed, "truncated-score-calibration", b)
-        draws = rng.standard_normal((m, d))
-        norms[offset : offset + m] = np.linalg.norm(draws, axis=1)
-        offset += m
+    def block_norms(rng: np.random.Generator, m: int) -> np.ndarray:
+        return np.linalg.norm(rng.standard_normal((m, d)), axis=1)
+
+    norms = np.concatenate(map_blocks(calibration, "truncated-score-calibration", d, block_norms))
     q_alpha = math.sqrt(cov_coef) * float(np.quantile(norms, 1.0 - alpha))
 
     def batch(x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """CLI tests: dispatch, serialization, exit codes, and report round-trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,11 @@ SUBCOMMANDS = (
     "nontestability",
     "demo",
 )
+
+# stdout and exit code of the criterion-9 argv set in both formats, captured
+# before the CLI's output path was rewritten; any byte change is a regression
+with open(Path(__file__).parent / "golden" / "criterion9_outputs.json", encoding="utf-8") as _fh:
+    GOLDEN = json.load(_fh)
 
 
 def run_cli(args, capsys):
@@ -169,6 +175,17 @@ class TestOutputs:
         assert lines[0].strip() == "n,d,criterion,exact_chi2_power"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("rule", ["decay:c=abc", "decay:c="])
+    def test_bad_decay_scale_exits_3(self, rule, capsys):
+        code, out, err = run_cli(
+            ["power-curve", "--curve", "consistency", "--theta-rule", rule,
+             "--d-rule", "fixed:5", "--n-grid", "100"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert "decay" in err
+
     def test_demo_rejects_csv_format(self, capsys):
         code, _, err = run_cli(
             ["demo", "--d-rule", "linear", "--n-grid", "16,32", "--reps", "1000",
@@ -222,3 +239,13 @@ class TestWorkerByteIdentity:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_stdout_bytes_match_golden(self, name, fmt, capsys):
+        case = GOLDEN[name]
+        code, out, _ = run_cli(case["argv"] + ["--format", fmt], capsys)
+        assert code == case[fmt]["exit"]
+        assert out.encode("utf-8") == case[fmt]["stdout"].encode("utf-8")

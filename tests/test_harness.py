@@ -31,8 +31,32 @@ from hdpower import (
     run_regime,
     spike_alternative,
 )
-from hdpower.harness import ks_two_sample
+from hdpower.cli import main
+from hdpower.harness import RESULT_COLUMNS, ks_two_sample
+from hdpower.mc import block_layout, map_blocks
 from hdpower.rng import substream
+
+
+class TestMapBlocks:
+    def test_matches_hand_loop_for_any_worker_count(self):
+        reps, elems, seed, tag = 10_000, 2_000, 17, "map-blocks-test"
+        layout = block_layout(reps, elems)
+        assert len(layout) > 2
+        assert layout[-1][1] < layout[0][1]
+        # reference: one substream per block, written at the block's offset
+        reference = np.empty(reps)
+        offset = 0
+        for b, m in layout:
+            reference[offset : offset + m] = substream(seed, tag, b).standard_normal(m)
+            offset += m
+        results = {}
+        for workers in (1, 3):
+            mc = McConfig(reps=reps, master_seed=seed, workers=workers)
+            results[workers] = np.concatenate(
+                map_blocks(mc, tag, elems, lambda rng, m: rng.standard_normal(m))
+            )
+        np.testing.assert_array_equal(results[1], reference)
+        np.testing.assert_array_equal(results[3], results[1])
 
 
 class TestEstimateRejectionProb:
@@ -324,20 +348,29 @@ class TestCsvEmission:
             n=10, d=5, test="chi2(alpha=0.05)", theta="spike(i=1,magnitude=0.1)",
             size=0.05, power=0.1, enhanced_power=0.6, gap_bound=0.3,
         )
-        text = rows_to_csv([row])
+        text = rows_to_csv([vars(row)], RESULT_COLUMNS)
         lines = text.split("\r\n")
         assert lines[0] == "n,d,test,theta,size,power,enhanced_power,gap_bound"
         assert '"spike(i=1,magnitude=0.1)"' in lines[1]
 
-    def test_timings_column_opt_in(self):
-        row = ResultRow(
-            n=10, d=5, test="t", theta="zero", size=0.05, power=0.1,
-            enhanced_power=None, gap_bound=None, wall_time_s=1.25,
-        )
-        assert "wall_time_s" not in rows_to_csv([row])
-        timed = rows_to_csv([row], timings=True)
-        assert "wall_time_s" in timed
-        assert "1.250" in timed
+    def test_cells(self):
+        text = rows_to_csv([{"a": None, "b": 0.1, "c": 3, "d": "x"}], ["a", "b", "c", "d"])
+        assert text == "a,b,c,d\r\n,0.1,3,x\r\n"
+
+    def test_timings_column_opt_in(self, capsys):
+        argv = ["power-curve", "--model", "regression", "--test", "wald", "--d-rule", "fixed:2",
+                "--n-grid", "50", "--theta", "0.2", "--reps", "200", "--format", "csv"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert "wall_time_s" not in plain
+        assert main(argv + ["--timings"]) == 0
+        header, row, _ = capsys.readouterr().out.split("\r\n")
+        assert header.endswith(",wall_time_s")
+        # enhancement columns are empty for regression rows; time has three decimals
+        cells = row.split(",")
+        assert cells[-3:-1] == ["", ""]
+        integer, fraction = cells[-1].split(".")
+        assert integer.isdigit() and len(fraction) == 3 and fraction.isdigit()
 
     def test_probability_validation(self):
         with pytest.raises(DomainError):
