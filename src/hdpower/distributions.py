@@ -23,13 +23,15 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
 _GAMMA_EPS = 1e-15
 _GAMMA_ITMAX = 500
 _FPMIN = 1e-300
 _POISSON_TAIL = 1e-12
+# steps outward from the Poisson mode before noncentral_chi2_cdf gives up
+_POISSON_MAX_STEPS = 10_000_000
 _QUANTILE_TOL = 1e-10
 
 
@@ -239,8 +241,11 @@ def noncentral_chi2_cdf(dof: int, noncentrality: float, x: float) -> float:
             k_down -= 1
             total += w_down * chi2_cdf(dof + 2 * k_down, x)
             covered += w_down
-        if k_up - k0 > 10_000_000:
-            raise DomainError("noncentral_chi2_cdf series failed to converge")
+        if k_up - k0 > _POISSON_MAX_STEPS:
+            raise ConvergenceError(
+                f"noncentral_chi2_cdf series failed to converge in {_POISSON_MAX_STEPS} steps "
+                f"(dof={dof}, noncentrality={lam!r}, x={x!r})"
+            )
     return clamp01(total)
 
 

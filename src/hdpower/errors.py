@@ -22,5 +22,9 @@ class CalibrationError(HdPowerError, RuntimeError):
     """A Monte Carlo calibration step could not produce a usable threshold."""
 
 
+class ConvergenceError(HdPowerError, RuntimeError):
+    """A numerical series or iteration stopped at its step cap unconverged."""
+
+
 class SpecError(HdPowerError, ValueError):
     """A test/regime specification string could not be parsed or validated."""

@@ -10,7 +10,6 @@ applies this rule; every sampling loop in the package goes through it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -93,6 +92,9 @@ def run_blocks(
     results in block order regardless of execution order."""
     if workers <= 1 or len(blocks) <= 1:
         return [work(b, m) for b, m in blocks]
+    # imported here: it pulls in logging, which a serial run never needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(work, b, m) for b, m in blocks]
         return [f.result() for f in futures]

@@ -28,6 +28,10 @@ from .mc import McConfig, PowerEstimate, map_blocks, summarize
 from .models import GaussianLocationModel, SpikeAlternative, spike_alternative, spike_magnitude
 from .testfuncs import TestFunction
 
+# elements per spike-kernel column chunk: large enough for numpy to release
+# the GIL, small enough to keep the chunk's temporaries out of peak memory
+_SCAN_CHUNK = 1 << 15
+
 
 def mixture_likelihood_ratio(z, n: int, d: int):
     """L(z) = d^{-1} sum_i exp(sqrt(n) a z_i - n a^2 / 2), a the spike magnitude.
@@ -130,6 +134,11 @@ def _spike_scan(
     so the size and per-coordinate power estimates are maximally correlated
     and the gap bound is checkable at desk-scale replication counts.
 
+    A test with a spike kernel that consumes statistics is scanned in
+    O(m * d) per block of m replications, in column chunks; any other test
+    is re-evaluated once per coordinate, O(m * d^2) per block. Both paths
+    reduce the same per-coordinate values in the same order.
+
     Returns (per-coordinate means, per-coordinate ses, pooled average-power
     estimate, null size estimate); each coordinate sees exactly mc.reps
     evaluations.
@@ -158,21 +167,35 @@ def _spike_scan(
     else:
         raise DomainError(f"unknown test input kind {test.consumes!r}")
 
-    def work(rng: np.random.Generator, m: int):
-        draws = rng.standard_normal(shape(m))
-        null_vals = test.evaluate_batch(draws)
-        coord_sum = np.empty(d)
-        coord_sumsq = np.empty(d)
-        pooled = np.zeros(m)
+    def kernel_rows(cols, m: int):
+        step = max(1, _SCAN_CHUNK // m)
+        for lo in range(0, d, step):
+            hi = min(d, lo + step)
+            # one contiguous row per coordinate, so the sums below add in the
+            # loop's order and give its bits even for non-dyadic values
+            yield lo, hi, np.ascontiguousarray(cols(lo, hi).T)
+
+    def loop_rows(draws: np.ndarray):
         for i in range(d):
             col = column(draws, i)
             saved = col.copy()
             col += shift
             vals = test.evaluate_batch(draws)
             col[:] = saved
-            coord_sum[i] = vals.sum()
-            coord_sumsq[i] = (vals * vals).sum()
-            pooled += vals
+            yield i, i + 1, vals[np.newaxis]
+
+    def work(rng: np.random.Generator, m: int):
+        draws = rng.standard_normal(shape(m))
+        null_vals = test.evaluate_batch(draws)
+        cols = test.spike_columns(draws, shift) if test.consumes == "statistic" else None
+        coord_sum = np.empty(d)
+        coord_sumsq = np.empty(d)
+        pooled = np.zeros(m)
+        for lo, hi, rows in loop_rows(draws) if cols is None else kernel_rows(cols, m):
+            coord_sum[lo:hi] = rows.sum(axis=1)
+            coord_sumsq[lo:hi] = (rows * rows).sum(axis=1)
+            for vals in rows:
+                pooled += vals
         pooled /= d
         return (
             m,

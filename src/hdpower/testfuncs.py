@@ -34,6 +34,16 @@ from .rng import substream
 
 _RANGE_SLACK = 1e-12
 
+# (z, shift) -> cols(lo, hi); see TestFunction
+SpikeKernel = Callable[[np.ndarray, float], Callable[[int, int], np.ndarray]]
+
+
+def _unit_values(name: str, vals) -> np.ndarray:
+    vals = np.asarray(vals, dtype=float)
+    if vals.min(initial=0.0) < -_RANGE_SLACK or vals.max(initial=0.0) > 1.0 + _RANGE_SLACK:
+        raise DomainError(f"test {name!r} produced rejection values outside [0, 1]")
+    return np.clip(vals, 0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -42,6 +52,15 @@ class TestFunction:
     ``consumes`` is "statistic" for tests of the model's sufficient
     statistic and "observations" for tests that need raw per-observation
     data (one batch element is then an (n_obs, dim) matrix).
+
+    ``spike_kernel`` is optional and serves the spike scan. Built from an
+    (m, dim) block of statistics ``z`` and a shift ``s`` in O(m * dim), it
+    returns ``cols(lo, hi)``: an (m, hi - lo) array whose column ``j`` holds
+    the rejection values of ``z`` with coordinate ``lo + j`` increased by
+    ``s``. It must agree with ``batch`` on those shifted statistics (up to
+    floating-point rounding of a statistic that lands on its threshold), so
+    a test whose ``batch`` is replaced must drop or replace its kernel. It
+    may modify ``z`` while it builds if it restores it before returning.
     """
 
     name: str
@@ -50,6 +69,7 @@ class TestFunction:
     level: float | None = None
     consumes: str = "statistic"
     calibration_seed: int | None = None
+    spike_kernel: SpikeKernel | None = field(default=None, repr=False)
 
     def evaluate(self, z) -> float:
         """Rejection value for a single observed statistic."""
@@ -59,10 +79,15 @@ class TestFunction:
 
     def evaluate_batch(self, draws: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over the leading axis; validates range."""
-        vals = np.asarray(self.batch(np.asarray(draws, dtype=float)), dtype=float)
-        if vals.min(initial=0.0) < -_RANGE_SLACK or vals.max(initial=0.0) > 1.0 + _RANGE_SLACK:
-            raise DomainError(f"test {self.name!r} produced rejection values outside [0, 1]")
-        return np.clip(vals, 0.0, 1.0)
+        return _unit_values(self.name, self.batch(np.asarray(draws, dtype=float)))
+
+    def spike_columns(self, z: np.ndarray, shift: float) -> Callable[[int, int], np.ndarray] | None:
+        """The ``spike_kernel`` column function for statistics ``z``, with the
+        range check and clipping of ``evaluate_batch``; None without a kernel."""
+        if self.spike_kernel is None:
+            return None
+        cols = self.spike_kernel(z, shift)
+        return lambda lo, hi: _unit_values(self.name, cols(lo, hi))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -81,7 +106,14 @@ def chi2_euclidean_test(n: int, d: int, alpha: float) -> TestFunction:
     def batch(z: np.ndarray) -> np.ndarray:
         return (np.einsum("ij,ij->i", z, z) > threshold).astype(float)
 
-    return TestFunction(name=f"chi2(alpha={alpha:g})", dim=d, batch=batch, level=alpha)
+    def spike_kernel(z: np.ndarray, shift: float):
+        # ||z + s e_i||^2 = ||z||^2 + 2 s z_i + s^2
+        base = np.einsum("ij,ij->i", z, z)[:, np.newaxis] + shift * shift
+        return lambda lo, hi: (base + 2.0 * shift * z[:, lo:hi] > threshold).astype(float)
+
+    return TestFunction(
+        name=f"chi2(alpha={alpha:g})", dim=d, batch=batch, level=alpha, spike_kernel=spike_kernel
+    )
 
 
 def chi2_exact_power(n: int, d: int, alpha: float, theta) -> float:
@@ -109,8 +141,25 @@ def spike_z_test(n: int, d: int, i: int) -> TestFunction:
     def batch(z: np.ndarray) -> np.ndarray:
         return (np.abs(z[:, idx]) > threshold).astype(float)
 
+    def spike_kernel(z: np.ndarray, shift: float):
+        # a shift elsewhere leaves the value unchanged
+        base = batch(z)[:, np.newaxis]
+        hit = np.abs(z[:, idx] + shift) > threshold
+
+        def cols(lo: int, hi: int) -> np.ndarray:
+            out = np.repeat(base, hi - lo, axis=1)
+            if lo <= idx < hi:
+                out[:, idx - lo] = hit
+            return out
+
+        return cols
+
     return TestFunction(
-        name=f"spike(i={i})", dim=d, batch=batch, level=spike_z_exact_size(n, d)
+        name=f"spike(i={i})",
+        dim=d,
+        batch=batch,
+        level=spike_z_exact_size(n, d),
+        spike_kernel=spike_kernel,
     )
 
 
@@ -136,7 +185,31 @@ def sup_norm_test(n: int, d: int) -> TestFunction:
     def batch(z: np.ndarray) -> np.ndarray:
         return (np.abs(z).max(axis=1) > threshold).astype(float)
 
-    return TestFunction(name="supnorm", dim=d, batch=batch, level=sup_norm_exact_size(d))
+    def spike_kernel(z: np.ndarray, shift: float):
+        # max_j |z_j + s 1{j = i}| = max(|z_i + s|, largest |z_j| over j != i),
+        # which is the runner-up at the row's top coordinate, the top elsewhere;
+        # found without an |z| copy of the block
+        rows = np.arange(z.shape[0])
+        up, down = z.argmax(axis=1), z.argmin(axis=1)
+        top_idx = np.where(z[rows, up] >= -z[rows, down], up, down)
+        saved = z[rows, top_idx]
+        top = np.abs(saved)[:, np.newaxis]
+        z[rows, top_idx] = 0.0
+        try:
+            runner_up = np.maximum(z.max(axis=1), -z.min(axis=1))[:, np.newaxis]
+        finally:
+            z[rows, top_idx] = saved
+        top_idx = top_idx[:, np.newaxis]
+
+        def cols(lo: int, hi: int) -> np.ndarray:
+            others = np.where(top_idx == np.arange(lo, hi), runner_up, top)
+            return (np.maximum(np.abs(z[:, lo:hi] + shift), others) > threshold).astype(float)
+
+        return cols
+
+    return TestFunction(
+        name="supnorm", dim=d, batch=batch, level=sup_norm_exact_size(d), spike_kernel=spike_kernel
+    )
 
 
 def sup_norm_exact_size(d: int) -> float:
@@ -158,12 +231,18 @@ def halfspace_test(n: int, d: int, alpha: float = 0.05, seed: int = 0) -> TestFu
     def batch(z: np.ndarray) -> np.ndarray:
         return (z @ direction > threshold).astype(float)
 
+    def spike_kernel(z: np.ndarray, shift: float):
+        # (z + s e_i) . u = z . u + s u_i
+        proj = (z @ direction)[:, np.newaxis]
+        return lambda lo, hi: (proj + shift * direction[lo:hi] > threshold).astype(float)
+
     return TestFunction(
         name=f"halfspace(alpha={alpha:g},seed={seed})",
         dim=d,
         batch=batch,
         level=alpha,
         calibration_seed=seed,
+        spike_kernel=spike_kernel,
     )
 
 
@@ -176,7 +255,16 @@ def constant_test(d: int, value: float = 1.0) -> TestFunction:
     def batch(z: np.ndarray) -> np.ndarray:
         return np.full(z.shape[0], value)
 
-    return TestFunction(name="one" if value == 1.0 else f"const({value:g})", dim=d, batch=batch, level=value)
+    def spike_kernel(z: np.ndarray, shift: float):
+        return lambda lo, hi: np.full((z.shape[0], hi - lo), value)
+
+    return TestFunction(
+        name="one" if value == 1.0 else f"const({value:g})",
+        dim=d,
+        batch=batch,
+        level=value,
+        spike_kernel=spike_kernel,
+    )
 
 
 def enhance(phi: TestFunction, nu: TestFunction) -> TestFunction:
@@ -184,20 +272,29 @@ def enhance(phi: TestFunction, nu: TestFunction) -> TestFunction:
 
     psi dominates both components pointwise, so it has nowhere smaller power,
     and its size is at most size(phi) + size(nu). The dominance is asserted
-    on every evaluated batch.
+    on every evaluated batch and spike-kernel column block. psi has a spike
+    kernel when both components do.
     """
     if phi.dim != nu.dim:
         raise DomainError(f"statistic dimensions differ: {phi.dim} vs {nu.dim}")
     if phi.consumes != nu.consumes:
         raise DomainError("cannot combine tests consuming different inputs")
 
-    def batch(z: np.ndarray) -> np.ndarray:
-        base = phi.evaluate_batch(z)
-        comp = nu.evaluate_batch(z)
+    def combine(base: np.ndarray, comp: np.ndarray) -> np.ndarray:
         vals = np.minimum(base + comp, 1.0)
         if np.any(vals < base) or np.any(vals < comp):
             raise DomainError("enhancement dominance violated")
         return vals
+
+    def batch(z: np.ndarray) -> np.ndarray:
+        return combine(phi.evaluate_batch(z), nu.evaluate_batch(z))
+
+    spike_kernel = None
+    if phi.spike_kernel is not None and nu.spike_kernel is not None:
+
+        def spike_kernel(z: np.ndarray, shift: float):
+            phi_cols, nu_cols = phi.spike_columns(z, shift), nu.spike_columns(z, shift)
+            return lambda lo, hi: combine(phi_cols(lo, hi), nu_cols(lo, hi))
 
     return TestFunction(
         name=f"enhance({phi.name},{nu.name})",
@@ -205,6 +302,7 @@ def enhance(phi: TestFunction, nu: TestFunction) -> TestFunction:
         batch=batch,
         level=phi.level,
         consumes=phi.consumes,
+        spike_kernel=spike_kernel,
     )
 
 

@@ -1,11 +1,15 @@
 """CLI tests: dispatch, serialization, exit codes, and report round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from hdpower import BlindSpotReport, MixtureDiagnostics, __version__
+import hdpower
+from hdpower import BlindSpotReport, MixtureDiagnostics, __version__, distributions
 from hdpower.cli import build_parser, main
 
 SUBCOMMANDS = (
@@ -54,6 +58,15 @@ class TestParsing:
         out = capsys.readouterr().out
         for sub in SUBCOMMANDS:
             assert sub in out
+
+    def test_import_skips_thread_pool(self):
+        # serial runs never build an executor, so the CLI should not pay for
+        # importing one (and logging with it)
+        code = "import sys, hdpower.cli; print('concurrent.futures' in sys.modules)"
+        src = str(Path(hdpower.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_defaults(self):
         args = build_parser().parse_args(["blind-spot", "--test", "chi2:alpha=0.05", "--n", "16", "--d", "4"])
@@ -185,6 +198,17 @@ class TestOutputs:
         assert code == 3
         assert out == ""
         assert "decay" in err
+
+    def test_unconverged_kernel_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(distributions, "_POISSON_MAX_STEPS", 10)
+        code, out, err = run_cli(
+            ["power-curve", "--curve", "consistency", "--theta-rule", "decay:c=10",
+             "--d-rule", "fixed:5", "--n-grid", "1000"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "failed to converge" in err
 
     def test_demo_rejects_csv_format(self, capsys):
         code, _, err = run_cli(

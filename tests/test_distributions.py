@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hdpower import (
+    ConvergenceError,
     DomainError,
     chi2_cdf,
     chi2_quantile,
@@ -22,6 +23,7 @@ from hdpower import (
     std_normal_cdf,
     std_normal_quantile,
 )
+from hdpower import distributions
 
 # quad of the standard normal density over (-40, x], limit=200
 PHI_QUAD_1_959964 = 0.9750000009035575
@@ -134,6 +136,13 @@ class TestNoncentralChi2:
     def test_negative_noncentrality_rejected(self):
         with pytest.raises(DomainError):
             noncentral_chi2_cdf(3, -0.1, 1.0)
+
+    def test_step_cap_is_a_runtime_error(self, monkeypatch):
+        # the Poisson(500) weights need far more than 10 steps to drain
+        monkeypatch.setattr(distributions, "_POISSON_MAX_STEPS", 10)
+        with pytest.raises(ConvergenceError) as info:
+            noncentral_chi2_cdf(5, 1000.0, 1000.0)
+        assert not isinstance(info.value, ValueError)
 
 
 class TestGaussianTv:

@@ -1,6 +1,7 @@
 """Mixture-machinery tests: likelihood ratio, exact second moment, the
 power-gap bound, and the blind-spot finder."""
 
+import dataclasses
 import json
 import math
 
@@ -24,9 +25,11 @@ from hdpower import (
     second_moment_minus_one,
     spike_alternative,
     spike_z_test,
+    make_test,
     substream,
     sup_norm_test,
 )
+from hdpower import testfuncs
 from hdpower.mixture import MixtureDiagnostics, _spike_scan
 
 
@@ -208,3 +211,165 @@ class TestFindBlindSpot:
         )
         slack = 3.0 * (report.size.se + report.average_spike_power.se)
         assert abs(report.size.mean - report.average_spike_power.mean) <= report.gap_bound + slack
+
+
+KERNEL_SPECS = (
+    "chi2",
+    "supnorm",
+    "halfspace:seed=5",
+    "spike:i=3",
+    "one",
+    "enhance(chi2,supnorm)",
+    "enhance(halfspace,spike:i=3)",
+)
+
+
+def _counted(test):
+    """The test with its black box wrapped in a call counter."""
+    calls = []
+
+    def batch(z):
+        calls.append(z.shape[0])
+        return test.batch(z)
+
+    return dataclasses.replace(test, batch=batch), calls
+
+
+def _same_scan(a, b):
+    return (
+        np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2] == b[2] and a[3] == b[3]
+    )
+
+
+class TestSpikeKernelScan:
+    # d = 20 walks 4096-row blocks in column chunks of 8, 8 and 4; the 904-row
+    # second block takes all 20 columns in one chunk
+    N, D = 64, 20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    def test_kernel_path_equals_coordinate_loop(self, spec, workers):
+        test = make_test(spec, self.N, self.D)
+        assert test.spike_kernel is not None
+        model = GaussianLocationModel(n=self.N, d=self.D)
+        mc = McConfig(reps=5_000, master_seed=13, workers=workers)
+        kernel = _spike_scan(test, model, mc)
+        loop = _spike_scan(dataclasses.replace(test, spike_kernel=None), model, mc)
+        assert _same_scan(kernel, loop)
+
+    def test_non_dyadic_values_reduce_in_loop_order(self):
+        # 0.3-valued rows make the sums order-sensitive
+        n, d = self.N, self.D
+        test = enhance(spike_z_test(n, d, 2), constant_test(d, 0.3))
+        model = GaussianLocationModel(n=n, d=d)
+        mc = McConfig(reps=5_000, master_seed=14)
+        loop = _spike_scan(dataclasses.replace(test, spike_kernel=None), model, mc)
+        assert _same_scan(_spike_scan(test, model, mc), loop)
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    def test_kernel_columns_match_shifted_batches(self, spec):
+        # rows 0 and 1 tie for the largest |z_j| (with equal and opposite
+        # signs), row 2 has a single top coordinate
+        d = 4
+        test = make_test(spec, 100, d)
+        z = np.array([
+            [1.7, -1.7, 0.1, 0.0],
+            [0.2, 1.7, 1.7, -0.3],
+            [1.7, 0.1, 0.0, 0.0],
+            [-0.4, 2.9, 0.3, 1.1],
+        ])
+        before = z.copy()
+        for shift in (-3.4, -1.7, 0.5, 2.0):
+            cols = test.spike_columns(z, shift)
+            assert np.array_equal(z, before)
+            got = cols(0, d)
+            for i in range(d):
+                shifted = z.copy()
+                shifted[:, i] += shift
+                assert np.array_equal(got[:, i], test.evaluate_batch(shifted))
+            assert np.array_equal(cols(1, 3), got[:, 1:3])
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    def test_built_in_test_calls_black_box_once_per_block(self, spec):
+        test, calls = _counted(make_test(spec, self.N, self.D))
+        model = GaussianLocationModel(n=self.N, d=self.D)
+        _spike_scan(test, model, McConfig(reps=5_000, master_seed=15))
+        assert calls == [4096, 904]
+
+    def test_black_box_keeps_coordinate_loop(self):
+        n, d = 64, 6
+        base = chi2_euclidean_test(n, 3, 0.05)
+        pulled_back = testfuncs.TestFunction(
+            name="pullback", dim=d, batch=lambda z: base.evaluate_batch(z[:, :3])
+        )
+        test, calls = _counted(pulled_back)
+        mc = McConfig(reps=5_000, master_seed=17)
+        means, ses, pooled, null = _spike_scan(test, GaussianLocationModel(n=n, d=d), mc)
+        assert calls == [4096] * (d + 1) + [904] * (d + 1)
+        # values of the per-coordinate scan before spike kernels existed
+        assert means.tolist() == [0.1084, 0.1156, 0.1232, 0.0506, 0.0506, 0.0506]
+        assert ses[0] == 0.004397016573877132
+        assert (pooled.mean, pooled.se) == (0.08316666666666667, 0.0029445912206662404)
+        assert (null.mean, null.se) == (0.0506, 0.003099975801517489)
+
+    def test_observation_test_keeps_coordinate_loop(self):
+        n, d = 16, 3
+        test, calls = _counted(make_test("tscore:cal_reps=20000", n, d))
+        assert test.spike_kernel is None
+        mc = McConfig(reps=1_500, master_seed=17)
+        means, _, pooled, null = _spike_scan(test, GaussianLocationModel(n=n, d=d), mc)
+        assert calls == [1_500] * (d + 1)
+        assert means.tolist() == [0.12733333333333333, 0.12466666666666666, 0.12266666666666666]
+        assert (pooled.mean, pooled.se) == (0.12488888888888888, 0.006791643521984411)
+        assert (null.mean, null.se) == (0.05333333333333334, 0.005803594897568459)
+
+    def test_enhance_without_both_kernels_has_none(self):
+        n, d = 16, 3
+        tscore = make_test("tscore:cal_reps=20000", n, d)
+        assert enhance(tscore, tscore).spike_kernel is None
+        base = chi2_euclidean_test(n, d, 0.05)
+        assert enhance(base, dataclasses.replace(base, spike_kernel=None)).spike_kernel is None
+
+    @staticmethod
+    def _constant_kernel(value):
+        return lambda z, shift: (lambda lo, hi: np.full((z.shape[0], hi - lo), value))
+
+    def test_out_of_range_kernel_raises(self):
+        bad = testfuncs.TestFunction(
+            name="bad", dim=4, batch=lambda z: np.zeros(len(z)), spike_kernel=self._constant_kernel(1.5)
+        )
+        model = GaussianLocationModel(n=20, d=4)
+        with pytest.raises(DomainError, match="outside"):
+            _spike_scan(bad, model, McConfig(reps=1_000, master_seed=0))
+
+    def test_kernel_values_within_slack_are_clipped(self):
+        near = testfuncs.TestFunction(
+            name="near", dim=4, batch=lambda z: np.zeros(len(z)),
+            spike_kernel=self._constant_kernel(1.0 + 1e-13),
+        )
+        means, ses, pooled, _ = _spike_scan(
+            near, GaussianLocationModel(n=20, d=4), McConfig(reps=1_000, master_seed=0)
+        )
+        assert means.tolist() == [1.0] * 4 and ses.tolist() == [0.0] * 4
+        assert pooled.mean == 1.0
+
+    def test_enhance_kernel_checks_dominance(self, monkeypatch):
+        class ShrunkMinimum:
+            """numpy, except that minimum undercuts its first argument."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def minimum(a, b):
+                return np.minimum(a, b) - 0.5
+
+        d = 8
+        psi = enhance(chi2_euclidean_test(100, d, 0.05), sup_norm_test(100, d))
+        z = substream(0, "dominance").standard_normal((16, d))
+        monkeypatch.setattr(testfuncs, "np", ShrunkMinimum())
+        with pytest.raises(DomainError, match="dominance"):
+            psi.evaluate_batch(z)
+        cols = psi.spike_columns(z, 2.0)
+        with pytest.raises(DomainError, match="dominance"):
+            cols(0, d)
