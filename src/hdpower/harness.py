@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import chi2_quantile, gaussian_tv, noncentral_chi2_cdf
 from .errors import DomainError, SpecError
-from .mc import McConfig, estimate_rejection_prob, map_blocks
+from .mc import McConfig, estimate_rejection_prob, estimate_rejection_probs, map_blocks
 from .mixture import find_blind_spot
 from .models import FixedDesignRegression, GaussianLocationModel, embed
 from .rng import substream
@@ -413,13 +413,11 @@ def enhanceability_demo(test_spec: str, regime: RegimeSpec, mc: McConfig) -> dic
 
     # common random numbers across the three tests: the pointwise relations
     # psi >= phi, psi >= nu, psi <= phi + nu then hold in the estimates too
-    zero = np.zeros(d)
-    phi_size = estimate_rejection_prob(phi, model, zero, mc, tag="demo:size")
-    nu_size = estimate_rejection_prob(nu, model, zero, mc, tag="demo:size")
-    psi_size = estimate_rejection_prob(psi, model, zero, mc, tag="demo:size")
-    phi_power = estimate_rejection_prob(phi, model, spike_theta, mc, tag="demo:power-at-spike")
-    nu_power = estimate_rejection_prob(nu, model, spike_theta, mc, tag="demo:power-at-spike")
-    psi_power = estimate_rejection_prob(psi, model, spike_theta, mc, tag="demo:power-at-spike")
+    tests = (phi, nu, psi)
+    phi_size, nu_size, psi_size = estimate_rejection_probs(tests, model, np.zeros(d), mc, tag="demo:size")
+    phi_power, nu_power, psi_power = estimate_rejection_probs(
+        tests, model, spike_theta, mc, tag="demo:power-at-spike"
+    )
 
     # explicit pointwise dominance check on a fresh sample (enhance() also
     # asserts it on every evaluated batch)

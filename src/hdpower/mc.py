@@ -130,43 +130,86 @@ def summarize(count: int, total: float, total_sq: float, seed: int) -> PowerEsti
     return PowerEstimate(mean=float(np.clip(mean, 0.0, 1.0)), se=se, reps=count, seed=seed)
 
 
-def estimate_rejection_prob(test, model, theta, mc: McConfig, tag: str = "rejection-prob") -> PowerEstimate:
-    """Monte Carlo estimate of the rejection probability of ``test`` when the
-    data-generating parameter is ``theta``.
+def estimate_rejection_probs(
+    tests, model, theta, mc: McConfig, tag: str = "rejection-prob"
+) -> list[PowerEstimate]:
+    """Monte Carlo estimates of the rejection probabilities of ``tests`` when
+    the data-generating parameter is ``theta``, in the order of ``tests``.
 
-    The test's declared input kind decides what gets sampled: the model's
-    sufficient statistic, or raw per-observation data for tests that need it.
+    Every block is drawn once and evaluated by all the tests (common random
+    numbers), so a pointwise relation between tests, such as
+    psi <= phi + nu, holds in the estimates too. The tests' shared input kind
+    decides what gets sampled: the model's sufficient statistic, or raw
+    per-observation data for tests that need it. When every test reads the
+    same single statistic coordinate (``TestFunction.coordinate``), only that
+    column is drawn, and the tests evaluate its zero-copy broadcast to full
+    width.
     """
+    tests = list(tests)
+    if not tests:
+        raise DomainError("need at least one test to estimate")
     theta = model.require_member(theta)
-    if test.consumes == "statistic":
-        if test.dim != model.statistic_dim:
-            raise DomainError(
-                f"test consumes statistics of dimension {test.dim}, "
-                f"model produces dimension {model.statistic_dim}"
-            )
-        elems = model.statistic_dim
-        sample = model.sample_statistic
-    elif test.consumes == "observations":
+    kinds = {test.consumes for test in tests}
+    if len(kinds) > 1:
+        raise DomainError(f"tests sharing draws must consume one input kind, got {sorted(kinds)}")
+    kind = kinds.pop()
+    if kind == "statistic":
+        width = model.statistic_dim
+        for test in tests:
+            if test.dim != width:
+                raise DomainError(
+                    f"test consumes statistics of dimension {test.dim}, "
+                    f"model produces dimension {width}"
+                )
+        coordinates = {test.coordinate for test in tests}
+        coordinate = coordinates.pop() if len(coordinates) == 1 else None
+        if coordinate is None:
+            elems, sample = width, model.sample_statistic
+        else:
+            elems = 1
+
+            def sample(theta, rng: np.random.Generator, m: int) -> np.ndarray:
+                column = model.sample_statistic(theta, rng, m, coordinate=coordinate)
+                return np.broadcast_to(column, (m, width))
+
+    elif kind == "observations":
         if not hasattr(model, "sample_observations"):
             raise DomainError(f"model {model!r} does not expose per-observation sampling")
-        if test.dim != model.d:
-            raise DomainError(
-                f"test consumes observations of dimension {test.dim}, model has dimension {model.d}"
-            )
+        for test in tests:
+            if test.dim != model.d:
+                raise DomainError(
+                    f"test consumes observations of dimension {test.dim}, model has dimension {model.d}"
+                )
         elems = model.n * model.d
         sample = model.sample_observations
     else:
-        raise DomainError(f"unknown test input kind {test.consumes!r}")
+        raise DomainError(f"unknown test input kind {kind!r}")
 
-    def work(rng: np.random.Generator, m: int) -> tuple[int, float, float]:
-        vals = test.evaluate_batch(sample(theta, rng, m))
-        return m, float(vals.sum()), float((vals * vals).sum())
+    def work(rng: np.random.Generator, m: int) -> list[tuple[float, float]]:
+        draws = sample(theta, rng, m)
+        sums = []
+        for test in tests:
+            vals = test.evaluate_batch(draws)
+            sums.append((float(vals.sum()), float((vals * vals).sum())))
+        return sums
 
     parts = map_blocks(mc, tag, elems, work)
-    count = sum(p[0] for p in parts)
-    total = math.fsum(p[1] for p in parts)
-    total_sq = math.fsum(p[2] for p in parts)
-    return summarize(count, total, total_sq, mc.master_seed)
+    return [
+        summarize(
+            mc.reps,
+            math.fsum(p[k][0] for p in parts),
+            math.fsum(p[k][1] for p in parts),
+            mc.master_seed,
+        )
+        for k in range(len(tests))
+    ]
+
+
+def estimate_rejection_prob(test, model, theta, mc: McConfig, tag: str = "rejection-prob") -> PowerEstimate:
+    """Monte Carlo estimate of the rejection probability of ``test`` when the
+    data-generating parameter is ``theta``: the one-test case of
+    ``estimate_rejection_probs``."""
+    return estimate_rejection_probs([test], model, theta, mc, tag)[0]
 
 
 __all__ = [
@@ -175,6 +218,7 @@ __all__ = [
     "PowerEstimate",
     "block_layout",
     "estimate_rejection_prob",
+    "estimate_rejection_probs",
     "map_blocks",
     "run_blocks",
     "summarize",

@@ -1,11 +1,18 @@
 """Statistical experiments reduced to sufficient-statistic samplers.
 
 Three models share one informal protocol: ``statistic_dim``, ``contains`` /
-``require_member``, ``sample_statistic(theta, rng, size)``,
+``require_member``, ``sample_statistic(theta, rng, size, coordinate=None)``,
 ``central_sequence``, ``information_matrix`` and ``log_likelihood_ratio``.
 All are immutable after construction and sampling takes an explicit
 generator, so concurrent sampling is safe whenever each worker owns its own
 stream.
+
+``sample_statistic`` draws all ``statistic_dim`` coordinates, shape
+(size, statistic_dim), or with a 0-based ``coordinate`` only that one,
+shape (size, 1). The statistic coordinates are independent in all three
+models, so the column has the law of that coordinate of a full draw (it is
+a different draw from the same generator). ``theta`` is checked in full
+either way.
 
 - GaussianLocationModel: n i.i.d. N_d(theta, I_d) observations, sufficient
   statistic Z = n^{-1/2} * sum(X_i) ~ N_d(sqrt(n) theta, I_d). Also exposes
@@ -130,6 +137,16 @@ class _ModelBase:
     def _membership_message(self, theta: np.ndarray) -> str:
         return f"theta outside the parameter space of {type(self).__name__}"
 
+    def _columns(self, coordinate: int | None) -> slice:
+        """Every statistic coordinate, or only the 0-based ``coordinate``."""
+        if coordinate is None:
+            return slice(None)
+        if not 0 <= coordinate < self.statistic_dim:
+            raise DomainError(
+                f"statistic coordinate must be in [0, {self.statistic_dim}), got {coordinate!r}"
+            )
+        return slice(coordinate, coordinate + 1)
+
 
 @dataclass(frozen=True)
 class GaussianLocationModel(_ModelBase):
@@ -153,11 +170,13 @@ class GaussianLocationModel(_ModelBase):
     def _membership_message(self, theta: np.ndarray) -> str:
         return "theta must be finite"
 
-    def sample_statistic(self, theta, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Draws of Z ~ N_d(sqrt(n) theta, I_d), shape (size, d)."""
-        arr = self.require_member(theta)
-        z = rng.standard_normal((size, self.d))
-        shift = math.sqrt(self.n) * arr
+    def sample_statistic(
+        self, theta, rng: np.random.Generator, size: int = 1, coordinate: int | None = None
+    ) -> np.ndarray:
+        """Draws of Z ~ N_d(sqrt(n) theta, I_d), shape (size, d), or of its
+        one ``coordinate``, shape (size, 1)."""
+        shift = math.sqrt(self.n) * self.require_member(theta)[self._columns(coordinate)]
+        z = rng.standard_normal((size, shift.shape[0]))
         if np.any(shift != 0.0):
             z += shift
         return z
@@ -221,10 +240,13 @@ class ScaledGaussianModel(_ModelBase):
             f"(-1, 1)^{self.d}: every coordinate must lie strictly inside (-1, 1)"
         )
 
-    def sample_statistic(self, theta, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Draws of the sample mean ~ N_d(theta, (d^3/n) I_d), shape (size, d)."""
-        arr = self.require_member(theta)
-        return arr + self.statistic_sd * rng.standard_normal((size, self.d))
+    def sample_statistic(
+        self, theta, rng: np.random.Generator, size: int = 1, coordinate: int | None = None
+    ) -> np.ndarray:
+        """Draws of the sample mean ~ N_d(theta, (d^3/n) I_d), shape (size, d),
+        or of its one ``coordinate``, shape (size, 1)."""
+        arr = self.require_member(theta)[self._columns(coordinate)]
+        return arr + self.statistic_sd * rng.standard_normal((size, arr.shape[0]))
 
     def central_sequence(self, stats: np.ndarray) -> np.ndarray:
         x = np.asarray(stats, dtype=float)
@@ -303,11 +325,13 @@ class FixedDesignRegression(_ModelBase):
     def _membership_message(self, theta: np.ndarray) -> str:
         return "theta must be finite"
 
-    def sample_statistic(self, theta, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Response draws y = X theta + noise, shape (size, n)."""
-        arr = self.require_member(theta)
-        y = self.noise_sd * rng.standard_normal((size, self.n))
-        mean = self.design @ arr
+    def sample_statistic(
+        self, theta, rng: np.random.Generator, size: int = 1, coordinate: int | None = None
+    ) -> np.ndarray:
+        """Response draws y = X theta + noise, shape (size, n), or of the one
+        response ``coordinate``, shape (size, 1)."""
+        mean = (self.design @ self.require_member(theta))[self._columns(coordinate)]
+        y = self.noise_sd * rng.standard_normal((size, mean.shape[0]))
         if np.any(mean != 0.0):
             y += mean
         return y

@@ -40,8 +40,9 @@ SpikeKernel = Callable[[np.ndarray, float], Callable[[int, int], np.ndarray]]
 
 def _unit_values(name: str, vals) -> np.ndarray:
     vals = np.asarray(vals, dtype=float)
-    if vals.min(initial=0.0) < -_RANGE_SLACK or vals.max(initial=0.0) > 1.0 + _RANGE_SLACK:
-        raise DomainError(f"test {name!r} produced rejection values outside [0, 1]")
+    # written so that a NaN (which min/max propagate) fails the bound too
+    if not (vals.min(initial=0.0) >= -_RANGE_SLACK and vals.max(initial=0.0) <= 1.0 + _RANGE_SLACK):
+        raise DomainError(f"test {name!r} produced rejection values that are NaN or outside [0, 1]")
     return np.clip(vals, 0.0, 1.0)
 
 
@@ -61,6 +62,13 @@ class TestFunction:
     floating-point rounding of a statistic that lands on its threshold), so
     a test whose ``batch`` is replaced must drop or replace its kernel. It
     may modify ``z`` while it builds if it restores it before returning.
+
+    ``coordinate`` is optional and serves the Monte Carlo engine. It is the
+    0-based index of the only statistic coordinate ``batch`` reads: the test
+    must give the same values on any two statistics that agree there. The
+    engine then draws that one column and evaluates its zero-copy broadcast
+    to full width, so ``batch`` must not write to its input. A test whose
+    ``batch`` is replaced must drop or replace its coordinate too.
     """
 
     name: str
@@ -70,6 +78,15 @@ class TestFunction:
     consumes: str = "statistic"
     calibration_seed: int | None = None
     spike_kernel: SpikeKernel | None = field(default=None, repr=False)
+    coordinate: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.coordinate is not None:
+            if self.consumes != "statistic" or not 0 <= self.coordinate < self.dim:
+                raise DomainError(
+                    f"test {self.name!r}: coordinate {self.coordinate!r} is not a statistic "
+                    f"coordinate in [0, {self.dim})"
+                )
 
     def evaluate(self, z) -> float:
         """Rejection value for a single observed statistic."""
@@ -160,6 +177,7 @@ def spike_z_test(n: int, d: int, i: int) -> TestFunction:
         batch=batch,
         level=spike_z_exact_size(n, d),
         spike_kernel=spike_kernel,
+        coordinate=idx,
     )
 
 
@@ -273,7 +291,8 @@ def enhance(phi: TestFunction, nu: TestFunction) -> TestFunction:
     psi dominates both components pointwise, so it has nowhere smaller power,
     and its size is at most size(phi) + size(nu). The dominance is asserted
     on every evaluated batch and spike-kernel column block. psi has a spike
-    kernel when both components do.
+    kernel when both components do, and reads a single coordinate when both
+    components read the same one.
     """
     if phi.dim != nu.dim:
         raise DomainError(f"statistic dimensions differ: {phi.dim} vs {nu.dim}")
@@ -303,6 +322,7 @@ def enhance(phi: TestFunction, nu: TestFunction) -> TestFunction:
         level=phi.level,
         consumes=phi.consumes,
         spike_kernel=spike_kernel,
+        coordinate=phi.coordinate if phi.coordinate == nu.coordinate else None,
     )
 
 

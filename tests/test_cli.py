@@ -265,6 +265,20 @@ class TestWorkerByteIdentity:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+    @pytest.mark.parametrize("test", ["spike:i=3", "enhance(spike:i=3,spike:i=3)"])
+    def test_single_column_simulate_bytes_match(self, test, capsys):
+        outputs = []
+        for workers in ("1", "2"):
+            code, out, _ = run_cli(
+                ["simulate", "--test", test, "--n", "100", "--d", "400", "--theta", "spike:i=3",
+                 "--reps", "20000", "--seed", "8", "--workers", workers, "--format", "csv"],
+                capsys,
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize("fmt", ("json", "csv"))
     @pytest.mark.parametrize("name", sorted(GOLDEN))

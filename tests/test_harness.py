@@ -1,5 +1,6 @@
 """Harness tests: MC engine determinism, regime runner, diagnostics."""
 
+import dataclasses
 import json
 import math
 
@@ -21,16 +22,21 @@ from hdpower import (
     consistency_diagnostic,
     constant_test,
     embedding_equivalence_check,
+    enhance,
     enhanceability_demo,
     estimate_rejection_prob,
+    estimate_rejection_probs,
     example2_nontestability_curve,
     find_blind_spot,
     gaussian_tv,
     lan_remainder_check,
+    make_test,
     rows_to_csv,
     run_regime,
     spike_alternative,
+    spike_z_test,
 )
+from hdpower import mc as mc_module
 from hdpower.cli import main
 from hdpower.harness import RESULT_COLUMNS, ks_two_sample
 from hdpower.mc import block_layout, map_blocks
@@ -112,6 +118,86 @@ class TestEstimateRejectionProb:
             if abs(est.mean - alpha) > 4 * se:
                 failures += 1
         assert failures <= 2
+
+
+class CountingGenerator:
+    """A numpy Generator that records the size of every normal draw."""
+
+    def __init__(self, gen, sizes):
+        self._gen, self._sizes = gen, sizes
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        out = self._gen.standard_normal(size, *args, **kwargs)
+        self._sizes.append(int(np.size(out)))
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+class TestSingleCoordinateSampling:
+    @staticmethod
+    def _normals_per_block(monkeypatch, test, model, reps):
+        sizes = []
+        original = mc_module.substream
+        monkeypatch.setattr(
+            mc_module, "substream", lambda *key: CountingGenerator(original(*key), sizes)
+        )
+        estimate_rejection_prob(test, model, np.zeros(model.d), McConfig(reps=reps, master_seed=0))
+        return sizes
+
+    def test_spike_draws_one_column_chi2_all(self, monkeypatch):
+        n, d, reps = 100, 64, 10_000
+        model = GaussianLocationModel(n=n, d=d)
+        rows = [m for _, m in block_layout(reps, 1)]
+        for spec in ("spike:i=7", "enhance(spike:i=7,spike:i=7)"):
+            test = make_test(spec, n, d)
+            assert self._normals_per_block(monkeypatch, test, model, reps) == rows
+        chi2 = chi2_euclidean_test(n, d, 0.05)
+        rows = [m * d for _, m in block_layout(reps, d)]
+        assert self._normals_per_block(monkeypatch, chi2, model, reps) == rows
+
+    def test_unread_coordinate_outside_the_cube_is_rejected(self):
+        model = ScaledGaussianModel(n=10, d=3)
+        with pytest.raises(ParameterError):
+            estimate_rejection_prob(
+                spike_z_test(10, 3, 1), model, [0.0, 0.0, 1.0], McConfig(reps=10, master_seed=0)
+            )
+
+
+class TestEstimateRejectionProbs:
+    def test_equals_separate_calls_when_a_test_reads_every_coordinate(self):
+        n, d = 64, 16
+        model = GaussianLocationModel(n=n, d=d)
+        spike = spike_z_test(n, d, 3)
+        tests = [chi2_euclidean_test(n, d, 0.05), spike, enhance(chi2_euclidean_test(n, d, 0.05), spike)]
+        mc = McConfig(reps=9_000, master_seed=41)
+        for theta in (np.zeros(d), spike_alternative(n, d, 3).theta):
+            joint = estimate_rejection_probs(tests, model, theta, mc, tag="joint")
+            # a full-width draw is shared, so the spike test is estimated as
+            # if it read every coordinate
+            full_width = [dataclasses.replace(t, coordinate=None) for t in tests]
+            assert joint == [estimate_rejection_prob(t, model, theta, mc, tag="joint") for t in full_width]
+            assert joint[0] == estimate_rejection_prob(tests[0], model, theta, mc, tag="joint")
+            assert joint[2] == estimate_rejection_prob(tests[2], model, theta, mc, tag="joint")
+
+    def test_shared_column_keeps_pointwise_relations(self):
+        n, d = 100, 500
+        model = GaussianLocationModel(n=n, d=d)
+        nu = spike_z_test(n, d, 9)
+        psi = enhance(nu, nu)
+        mc = McConfig(reps=20_000, master_seed=42)
+        joint = estimate_rejection_probs([nu, psi], model, np.zeros(d), mc)
+        assert joint == [estimate_rejection_prob(nu, model, np.zeros(d), mc)] * 2
+
+    def test_needs_one_input_kind(self):
+        n, d = 6, 2
+        model = GaussianLocationModel(n=n, d=d)
+        tscore = make_test("tscore:cal_reps=10000", n, d, model=model)
+        with pytest.raises(DomainError, match="input kind"):
+            estimate_rejection_probs([tscore, constant_test(d)], model, np.zeros(d), McConfig(reps=10))
+        with pytest.raises(DomainError):
+            estimate_rejection_probs([], model, np.zeros(d), McConfig(reps=10))
 
 
 class TestRegimeSpec:
@@ -401,6 +487,23 @@ class TestEnhanceabilityDemo:
         regime = RegimeSpec("linear", (32, 64))
         report = enhanceability_demo("one", regime, McConfig(reps=1_000, master_seed=13))
         assert not report["checks"]["enhanceable_signature"]
+
+    def test_spike_demo_shares_one_draw(self):
+        # the blind spot of spike:i=2 is another coordinate, so psi reads two
+        # and the three tests share one full-width draw, as separate
+        # full-width estimates on the same tag would
+        regime = RegimeSpec("linear", (16, 32))
+        mc = McConfig(reps=2_000, master_seed=43)
+        report = enhanceability_demo("spike:i=2", regime, mc)
+        assert report["checks"]["size_subadditive"]
+        assert report["blind_spot"]["coordinate"] != 2
+        model = GaussianLocationModel(n=32, d=32)
+        for key, test in (("base", make_test("spike:i=2", 32, 32)),
+                          ("component", spike_z_test(32, 32, report["blind_spot"]["coordinate"]))):
+            full = dataclasses.replace(test, coordinate=None)
+            assert report[key]["size"] == estimate_rejection_prob(
+                full, model, np.zeros(32), mc, tag="demo:size"
+            ).to_dict()
 
     def test_fixed_regime_rejected(self):
         with pytest.raises(DomainError):

@@ -180,6 +180,56 @@ class TestFixedDesignRegressionModel:
             model.ols_estimate(np.zeros(9))
 
 
+class TestCoordinateSampling:
+    """sample_statistic(..., coordinate=k) draws only statistic coordinate k."""
+
+    MODELS = {
+        "gaussian": (GaussianLocationModel(n=100, d=5), [0.0, 0.0, 0.3, -0.1, 0.0]),
+        "scaled": (ScaledGaussianModel(n=100, d=5), [0.0, 0.0, 0.3, -0.1, 0.0]),
+        "regression": (FixedDesignRegression.default_design(n=6, d=2, noise_sd=0.5), [0.3, -0.1]),
+    }
+
+    @staticmethod
+    def _marginal(model, theta, k):
+        """(mean, sd) of statistic coordinate k."""
+        theta = np.asarray(theta)
+        if isinstance(model, GaussianLocationModel):
+            return math.sqrt(model.n) * theta[k], 1.0
+        if isinstance(model, ScaledGaussianModel):
+            return theta[k], model.statistic_sd
+        return float(model.design[k] @ theta), model.noise_sd
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_column_is_that_coordinate_from_the_same_stream(self, kind):
+        model, theta = self.MODELS[kind]
+        k = 2
+        col = model.sample_statistic(theta, substream(1, "column"), 1_000, coordinate=k)
+        assert col.shape == (1_000, 1)
+        mean, sd = self._marginal(model, theta, k)
+        np.testing.assert_allclose(col[:, 0], mean + sd * substream(1, "column").standard_normal(1_000),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_column_law(self, kind, rng):
+        model, theta = self.MODELS[kind]
+        for k in (0, 2):
+            col = model.sample_statistic(theta, rng, 50_000, coordinate=k)
+            mean, sd = self._marginal(model, theta, k)
+            assert stats.kstest(col[:, 0], "norm", args=(mean, sd)).pvalue > KS_LEVEL
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_coordinate_out_of_range(self, kind, rng):
+        model, theta = self.MODELS[kind]
+        for k in (-1, model.statistic_dim):
+            with pytest.raises(DomainError, match="coordinate"):
+                model.sample_statistic(theta, rng, 10, coordinate=k)
+
+    def test_membership_checked_on_the_full_theta(self, rng):
+        model = ScaledGaussianModel(n=10, d=3)
+        with pytest.raises(ParameterError, match=r"theta\[2\]"):
+            model.sample_statistic([0.0, 0.5, 1.0], rng, 10, coordinate=0)
+
+
 class TestEmbedding:
     def test_definition(self):
         assert np.array_equal(embed([1.0, 2.0], 4), [1.0, 2.0, 0.0, 0.0])

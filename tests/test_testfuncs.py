@@ -19,6 +19,7 @@ from hdpower import (
     constant_test,
     enhance,
     estimate_rejection_prob,
+    estimate_rejection_probs,
     halfspace_test,
     make_test,
     noncentral_chi2_cdf,
@@ -34,6 +35,7 @@ from hdpower import (
     wald_test,
     wald_test_at_level,
 )
+from hdpower import testfuncs
 
 
 def binom_3se(p: float, reps: int) -> float:
@@ -200,16 +202,83 @@ class TestEnhance:
         nu = spike_z_test(n, d, 1)
         psi = enhance(phi, nu)
         mc = McConfig(reps=100_000, master_seed=11)
-        # same tag = same draws, so the pointwise inequality transfers
-        s_phi = estimate_rejection_prob(phi, model, np.zeros(d), mc, tag="sub")
-        s_nu = estimate_rejection_prob(nu, model, np.zeros(d), mc, tag="sub")
-        s_psi = estimate_rejection_prob(psi, model, np.zeros(d), mc, tag="sub")
+        # one set of draws for all three, so the pointwise inequality transfers
+        s_phi, s_nu, s_psi = estimate_rejection_probs((phi, nu, psi), model, np.zeros(d), mc, tag="sub")
         assert s_psi.mean <= s_phi.mean + s_nu.mean + 1e-12
         assert s_psi.mean >= max(s_phi.mean, s_nu.mean) - 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             enhance(constant_test(2), constant_test(3))
+
+
+class TestCoordinate:
+    def test_spike_tests_declare_their_coordinate(self):
+        n, d = 64, 8
+        assert spike_z_test(n, d, 3).coordinate == 2
+        assert make_test("enhance(spike:i=3,spike:i=3)", n, d).coordinate == 2
+        for spec in ("chi2", "supnorm", "halfspace", "one", "enhance(spike:i=3,spike:i=4)",
+                     "enhance(chi2,spike:i=3)", "enhance(spike:i=3,one)"):
+            assert make_test(spec, n, d).coordinate is None, spec
+
+    @pytest.mark.parametrize("spec", ["spike:i=1", "spike:i=5", "enhance(spike:i=5,spike:i=5)"])
+    def test_full_draw_equals_broadcast_column(self, spec):
+        n, d = 100, 8
+        test = make_test(spec, n, d)
+        model = GaussianLocationModel(n=n, d=d)
+        z = model.sample_statistic(spike_alternative(n, d, test.coordinate + 1).theta,
+                                   substream(9, "coordinate-parity"), 5_000)
+        column = np.broadcast_to(z[:, [test.coordinate]], z.shape)
+        full = test.evaluate_batch(z)
+        assert 0.0 < full.mean() < 1.0
+        np.testing.assert_array_equal(test.evaluate_batch(column), full)
+
+    def test_coordinate_must_be_a_statistic_coordinate(self):
+        batch = lambda z: np.zeros(len(z))  # noqa: E731
+        for coordinate in (-1, 4):
+            with pytest.raises(DomainError, match="coordinate"):
+                testfuncs.TestFunction(name="t", dim=4, batch=batch, coordinate=coordinate)
+        with pytest.raises(DomainError, match="coordinate"):
+            testfuncs.TestFunction(name="t", dim=4, batch=batch, consumes="observations", coordinate=0)
+
+
+class TestNanRejection:
+    @staticmethod
+    def _nan_test(d):
+        def batch(z):
+            vals = np.zeros(len(z))
+            vals[-1] = np.nan
+            return vals
+
+        def spike_kernel(z, shift):
+            return lambda lo, hi: np.full((z.shape[0], hi - lo), np.nan)
+
+        return testfuncs.TestFunction(name="nan-test", dim=d, batch=batch, spike_kernel=spike_kernel)
+
+    def test_evaluate_batch_rejects_nan(self):
+        z = np.zeros((4, 3))
+        with pytest.raises(DomainError, match="'nan-test'.*NaN"):
+            self._nan_test(3).evaluate_batch(z)
+
+    def test_spike_columns_reject_nan(self):
+        cols = self._nan_test(3).spike_columns(np.zeros((4, 3)), 1.0)
+        with pytest.raises(DomainError, match="'nan-test'.*NaN"):
+            cols(0, 3)
+
+    def test_enhance_with_nan_component_names_the_component(self):
+        d = 3
+        psi = enhance(chi2_euclidean_test(16, d, 0.05), self._nan_test(d))
+        z = np.zeros((4, d))
+        with pytest.raises(DomainError, match="'nan-test'"):
+            psi.evaluate_batch(z)
+        with pytest.raises(DomainError, match="'nan-test'"):
+            psi.spike_columns(z, 1.0)(0, d)
+
+    def test_estimate_names_the_test_not_the_mean(self):
+        d = 3
+        model = GaussianLocationModel(n=16, d=d)
+        with pytest.raises(DomainError, match="'nan-test'"):
+            estimate_rejection_prob(self._nan_test(d), model, np.zeros(d), McConfig(reps=100))
 
 
 class TestRangeInvariant:
