@@ -8,12 +8,22 @@ arrays elsewhere. Conventions:
 
 - The chi-square CDF is the regularized lower incomplete gamma function
   P(dof/2, x/2), computed by the classic series / continued-fraction split
-  at x < dof + 1, iterated to a 1e-14 relative tolerance.
+  at x < dof + 1, iterated to a 1e-14 relative tolerance under a cap of
+  500 + 20 sqrt(dof/2) iterations (a sum near the mean needs about
+  9 sqrt(dof/2)); reaching the cap raises ConvergenceError. The factor
+  x^a e^{-x} / Gamma(a) is taken from lgamma up to a = 2e4 and in Loader's
+  saddle-point form above, where lgamma's cancellation would cost 1e-8 at
+  dof = 1e7.
 - Quantiles are solved by bracketed bisection refined with Newton steps;
   the returned value satisfies |cdf(result) - p| <= 1e-10.
 - The noncentral chi-square CDF is the Poisson mixture of central CDFs,
-  summed outward from the modal Poisson index until the remaining Poisson
-  tail mass is below 1e-12.
+  summed outward from the modal Poisson index by recurrence from a single
+  central evaluation, until a bound on the uncovered Poisson mass is below
+  1e-12 of the covered mass; the sum is normalized by the covered mass.
+- Chi-square and noncentral chi-square values agree with an independent
+  oracle within 1e-9 absolute for dof and noncentrality up to 1e7 (the
+  oracle sweep in the tests); beyond that the kernels stay convergent and
+  time grows like sqrt(dof) and sqrt(noncentrality).
 - Results that are probabilities are clamped to [0, 1] after arithmetic to
   guard rounding at extreme tails.
 """
@@ -28,11 +38,18 @@ from .errors import ConvergenceError, DomainError
 _SQRT2 = math.sqrt(2.0)
 _GAMMA_EPS = 1e-15
 _GAMMA_ITMAX = 500
+_GAMMA_ITERS_PER_SQRT_A = 20
+# largest a whose x^a e^{-x} / Gamma(a) is taken in the lgamma form: its
+# cancellation error, about a log a ulps, is 6e-11 relative there
+_LGAMMA_A_MAX = 20_000.0
 _FPMIN = 1e-300
 _POISSON_TAIL = 1e-12
 # steps outward from the Poisson mode before noncentral_chi2_cdf gives up
 _POISSON_MAX_STEPS = 10_000_000
 _QUANTILE_TOL = 1e-10
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# Stirling series coefficients 1/12, 1/360, 1/1260, 1/1680, 1/1188
+_S0, _S1, _S2, _S3, _S4 = 1.0 / 12.0, 1.0 / 360.0, 1.0 / 1260.0, 1.0 / 1680.0, 1.0 / 1188.0
 
 
 def clamp01(value: float) -> float:
@@ -90,18 +107,79 @@ def std_normal_quantile(p: float) -> float:
     return x
 
 
+def _stirlerr(a: float) -> float:
+    """log Gamma(a + 1) - (a + 1/2) log a + a - log sqrt(2 pi): the error of
+    Stirling's formula, by its asymptotic series once a > 15 (Loader 2000)."""
+    if a <= 15.0:
+        return math.lgamma(a + 1.0) - (a + 0.5) * math.log(a) + a - _LOG_SQRT_2PI
+    a2 = a * a
+    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / a2) / a2) / a2) / a2) / a
+
+
+def _bd0(a: float, y: float) -> float:
+    """a log(a / y) + y - a without the cancellation of its three terms
+    when a is close to y (Loader 2000)."""
+    if abs(a - y) >= 0.1 * (a + y):
+        return a * math.log(a / y) + y - a
+    v = (a - y) / (a + y)
+    s = (a - y) * v
+    ej = 2.0 * a * v
+    v2 = v * v
+    j = 3
+    while True:
+        ej *= v2
+        s_next = s + ej / j
+        if s_next == s:
+            return s
+        s = s_next
+        j += 2
+
+
+def _poisson_pmf(a: float, y: float) -> float:
+    """y^a e^{-y} / Gamma(a + 1) for a >= 0 and y > 0, in Loader's saddle-point
+    form, which keeps full relative accuracy where a log y - y - lgamma(a + 1)
+    loses about a log a ulps, some 1e-8 at a = 5e6."""
+    if a == 0.0:
+        return math.exp(-y)
+    return math.exp(-_stirlerr(a) - _bd0(a, y)) / math.sqrt(2.0 * math.pi * a)
+
+
+def _gamma_cap(a: float) -> int:
+    # a sum at x near a needs about 9 sqrt(a) terms
+    return _GAMMA_ITMAX + int(_GAMMA_ITERS_PER_SQRT_A * math.sqrt(a))
+
+
+def _gamma_prefactor(a: float, x: float) -> float:
+    """x^a e^{-x} / Gamma(a), the factor both central sums are scaled by.
+
+    Up to a = _LGAMMA_A_MAX the lgamma form, which the kernel has always
+    used, keeps its values bit for bit; past it that form loses about
+    a log a ulps to cancellation, so the saddle-point form takes over.
+    """
+    if a <= _LGAMMA_A_MAX:
+        return math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return a * _poisson_pmf(a, x)
+
+
+def _gamma_unconverged(method: str, a: float, x: float, cap: int) -> ConvergenceError:
+    return ConvergenceError(
+        f"incomplete gamma {method} failed to converge in {cap} iterations (a={a!r}, x={x!r})"
+    )
+
+
 def _lower_gamma_series(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) by its power series."""
     term = 1.0 / a
     total = term
     k = a
-    for _ in range(_GAMMA_ITMAX):
+    cap = _gamma_cap(a)
+    for _ in range(cap):
         k += 1.0
         term *= x / k
         total += term
         if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total * _gamma_prefactor(a, x)
+    raise _gamma_unconverged("series", a, x, cap)
 
 
 def _upper_gamma_cf(a: float, x: float) -> float:
@@ -110,7 +188,8 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d
-    for i in range(1, _GAMMA_ITMAX + 1):
+    cap = _gamma_cap(a)
+    for i in range(1, cap + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -123,8 +202,8 @@ def _upper_gamma_cf(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return h * _gamma_prefactor(a, x)
+    raise _gamma_unconverged("continued fraction", a, x, cap)
 
 
 def _reg_lower_gamma(a: float, x: float) -> float:
@@ -200,12 +279,28 @@ def chi2_quantile(dof: int, p: float) -> float:
     return x
 
 
-def noncentral_chi2_cdf(dof: int, noncentrality: float, x: float) -> float:
-    """Noncentral chi-square CDF as a Poisson mixture of central CDFs.
+def _poisson_unconverged(dof: int, lam: float, x: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"noncentral_chi2_cdf series failed to converge in {_POISSON_MAX_STEPS} steps "
+        f"(dof={dof}, noncentrality={lam!r}, x={x!r})"
+    )
 
-    Terms are accumulated outward from the modal Poisson index and the sum
-    stops once the uncovered Poisson mass drops below 1e-12, which bounds
-    the truncation error by that mass.
+
+def noncentral_chi2_cdf(dof: int, noncentrality: float, x: float) -> float:
+    """Noncentral chi-square CDF: the Poisson(noncentrality / 2) mixture of
+    central chi-square CDFs with dof + 2k degrees of freedom.
+
+    One central P(dof/2 + k0, x/2) is evaluated at the Poisson mode k0; the
+    other terms follow from it by the O(1) recurrences
+    P(a + 1, y) = P(a, y) - g(a) and g(a + 1) = g(a) y / (a + 1), with
+    g(a) = y^a e^{-y} / Gamma(a + 1), walking up and down from the mode
+    (Ding 1992, AS 275; Benton and Krishnamoorthy 2003). Each direction stops
+    once a geometric bound on its remaining Poisson mass is below 1e-12 of
+    the mass covered so far, and the sum is divided by that covered mass, so
+    the rounding of the mode weight cancels. The cost is O(sqrt(noncentrality)) steps plus one
+    central evaluation; values agree with scipy within 1e-9 for dof and
+    noncentrality up to 1e7. A walk longer than _POISSON_MAX_STEPS in either
+    direction raises ConvergenceError.
     """
     dof = _check_dof(dof)
     lam = float(noncentrality)
@@ -218,35 +313,52 @@ def noncentral_chi2_cdf(dof: int, noncentrality: float, x: float) -> float:
         return chi2_cdf(dof, x)
     if x <= 0.0:
         return 0.0
+    if math.isinf(x):
+        return 1.0
 
     half = 0.5 * lam
+    y = 0.5 * x
     k0 = int(half)
-    log_w0 = -half + k0 * math.log(half) - math.lgamma(k0 + 1.0)
-    w0 = math.exp(log_w0)
-
-    total = w0 * chi2_cdf(dof + 2 * k0, x)
+    a0 = 0.5 * dof + k0
+    w0 = _poisson_pmf(k0, half)
+    p0 = _reg_lower_gamma(a0, y)
+    g0 = _poisson_pmf(a0, y)
+    total = w0 * p0
     covered = w0
 
-    w_up = w0
-    k_up = k0
-    w_down = w0
-    k_down = k0
-    while covered < 1.0 - _POISSON_TAIL:
-        k_up += 1
-        w_up *= half / k_up
-        total += w_up * chi2_cdf(dof + 2 * k_up, x)
-        covered += w_up
-        if k_down > 0:
-            w_down *= k_down / half
-            k_down -= 1
-            total += w_down * chi2_cdf(dof + 2 * k_down, x)
-            covered += w_down
-        if k_up - k0 > _POISSON_MAX_STEPS:
-            raise ConvergenceError(
-                f"noncentral_chi2_cdf series failed to converge in {_POISSON_MAX_STEPS} steps "
-                f"(dof={dof}, noncentrality={lam!r}, x={x!r})"
-            )
-    return clamp01(total)
+    # upward: from (w_k, P(a, y), g(a)) to k + 1, a + 1; the weights past k
+    # shrink by at most half / (k + 1) < 1 a step, so they sum to at most
+    # w_k (k + 1) / (k + 1 - half)
+    w, p, g, a, k = w0, p0, g0, a0, k0
+    while True:
+        k += 1
+        w *= half / k
+        if w * (k + 1) < _POISSON_TAIL * covered * (k + 1 - half):
+            break
+        p -= g
+        a += 1.0
+        g *= y / a
+        total += w * p
+        covered += w
+        if k - k0 > _POISSON_MAX_STEPS:
+            raise _poisson_unconverged(dof, lam, x)
+
+    # downward: from (w_k, P(a, y), g(a)) to k - 1, a - 1; the weights from
+    # k down sum to at most w_k half / (half - k)
+    w, p, g, a, k = w0, p0, g0, a0, k0
+    while k > 0:
+        w *= k / half
+        k -= 1
+        if w * half < _POISSON_TAIL * covered * (half - k):
+            break
+        g *= a / y
+        a -= 1.0
+        p += g
+        total += w * p
+        covered += w
+        if k0 - k > _POISSON_MAX_STEPS:
+            raise _poisson_unconverged(dof, lam, x)
+    return clamp01(total / covered)
 
 
 def gaussian_tv(mean_shift_norm: float) -> float:

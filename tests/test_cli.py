@@ -1,12 +1,17 @@
 """CLI tests: dispatch, serialization, exit codes, and report round-trips."""
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from scipy import stats
 
 import hdpower
 from hdpower import BlindSpotReport, MixtureDiagnostics, __version__, distributions
@@ -209,6 +214,33 @@ class TestOutputs:
         assert code == 1
         assert out == ""
         assert "failed to converge" in err
+
+    @pytest.mark.parametrize(
+        "d_rule, theta_rule, grid",
+        [
+            # the central series once stopped at 500 terms: 0.789 at n = 1e6
+            ("linear", "decay:c=1.7", "1000,10000,100000,1000000"),
+            # the Poisson sum once stalled at noncentrality 3e4 for ~25 s
+            ("fixed:5", "decay:c=10", "100,1000,10000,90000"),
+        ],
+    )
+    def test_consistency_curve_matches_scipy_at_scale(self, capsys, d_rule, theta_rule, grid):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["power-curve", "--curve", "consistency", "--d-rule", d_rule,
+             "--theta-rule", theta_rule, "--n-grid", grid],
+            capsys,
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        assert elapsed < 1.0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["n"] for r in rows] == grid.split(",")
+        for r in rows:
+            d = int(r["d"])
+            lam = float(r["criterion"]) * math.sqrt(d)
+            want = stats.ncx2.sf(stats.chi2.isf(0.05, d), d, lam)
+            assert abs(float(r["exact_chi2_power"]) - want) <= 1e-9, r
 
     def test_demo_rejects_csv_format(self, capsys):
         code, _, err = run_cli(

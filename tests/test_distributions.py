@@ -2,15 +2,18 @@
 
 Frozen expected values were computed from adaptive quadrature of the normal
 density (scipy.integrate.quad), closed forms (1 - e^{-x/2} for two degrees
-of freedom, erf identities for one degree), and seeded Monte Carlo; the
-oracles never call the code paths they check.
+of freedom, erf identities for one degree), seeded Monte Carlo, and a
+40-digit mpmath series; the sweep compares against scipy live. The oracles
+never call the code paths they check.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
 from hdpower import (
     ConvergenceError,
@@ -143,6 +146,112 @@ class TestNoncentralChi2:
         with pytest.raises(ConvergenceError) as info:
             noncentral_chi2_cdf(5, 1000.0, 1000.0)
         assert not isinstance(info.value, ValueError)
+
+
+    def test_matches_direct_poisson_mixture(self):
+        # reference: every Poisson term's central CDF evaluated on its own,
+        # summed until the uncovered weight is below 1e-15
+        def direct(dof, lam, x):
+            total = covered = 0.0
+            k = 0
+            while covered < 1.0 - 1e-15:
+                w = math.exp(-lam / 2 + k * math.log(lam / 2) - math.lgamma(k + 1.0))
+                total += w * chi2_cdf(dof + 2 * k, x)
+                covered += w
+                k += 1
+            return total
+
+        for dof in (1, 2, 7, 64):
+            for lam in (0.01, 1.0, 9.5, 60.0):
+                for x in (0.5, dof + lam, 3.0 * (dof + lam)):
+                    assert abs(noncentral_chi2_cdf(dof, lam, x) - direct(dof, lam, x)) < 1e-11
+
+
+# chi2_quantile values frozen before the kernel's iteration cap grew with
+# sqrt(dof): wherever the old 500-iteration sums converged, central values
+# keep their bits, so test thresholds and Monte Carlo outputs keep theirs
+FROZEN_QUANTILES = {
+    (1, 0.95): 3.8414588206941187,
+    (5, 0.95): 11.070497693516346,
+    (256, 0.95): 294.3206688843066,
+    (1024, 0.95): 1099.5571458647241,
+    (2981, 0.95): 3109.132532255613,
+    (10000, 0.95): 10233.748897678039,
+    (40000, 0.95): 40466.36911247154,
+    (2, 0.99): 9.210340371976189,
+    (64, 0.99): 93.21685966023847,
+    (4096, 0.99): 4309.493570490008,
+}
+
+SWEEP_DOFS = sorted({round(10 ** (k / 2)) for k in range(15)})  # 1 .. 1e7
+SWEEP_LAMS = [0.0] + [10.0**k for k in range(-3, 8)]  # 0, 1e-3 .. 1e7
+SWEEP_SDS = (-5, -3, -1, 0, 1, 3, 5)
+SWEEP_TOL = 1e-9
+CALL_BUDGET_S = 0.5
+
+
+def _oracle_cdf(dof, lam, x):
+    # scipy's chi2.cdf (Cephes) is off by up to 2e-9 in the lower tail at
+    # dof >= 1e6 (see test_deep_lower_tail_at_dof_1e7); its Boost-based ncx2
+    # holds there, and at noncentrality 1e-300 it is the central CDF
+    return float(stats.ncx2.cdf(x, dof, max(lam, 1e-300)))
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    value = fn(*args)
+    elapsed = time.perf_counter() - start
+    assert elapsed < CALL_BUDGET_S, f"{fn.__name__}{args} took {elapsed:.3f} s"
+    return value
+
+
+class TestOracleSweep:
+    """Log grid of dof and noncentrality up to 1e7, x at the mean +- 0, 1,
+    3 and 5 standard deviations, against scipy."""
+
+    @pytest.mark.parametrize("dof", SWEEP_DOFS)
+    def test_noncentral_chi2_cdf(self, dof):
+        for lam in SWEEP_LAMS:
+            mean, sd = dof + lam, math.sqrt(2.0 * (dof + 2.0 * lam))
+            for z in SWEEP_SDS:
+                x = mean + z * sd
+                if x <= 0.0:
+                    continue
+                got = _timed(noncentral_chi2_cdf, dof, lam, x)
+                assert abs(got - _oracle_cdf(dof, lam, x)) <= SWEEP_TOL, (dof, lam, z)
+
+    @pytest.mark.parametrize("dof", SWEEP_DOFS)
+    def test_chi2_cdf(self, dof):
+        for z in SWEEP_SDS:
+            x = dof + z * math.sqrt(2.0 * dof)
+            if x <= 0.0:
+                continue
+            got = _timed(chi2_cdf, dof, x)
+            assert abs(got - _oracle_cdf(dof, 0.0, x)) <= SWEEP_TOL, (dof, z)
+
+    def test_deep_lower_tail_at_dof_1e7(self):
+        # 40-digit mpmath power series of P(5e6, x/2); scipy's chi2.cdf gives
+        # 2.7954121917792986e-07 here
+        x = 1e7 - 5.0 * math.sqrt(2e7)
+        assert abs(chi2_cdf(10**7, x) - 2.8137275693898227e-07) < 1e-15
+
+    def test_thresholds_keep_their_bits(self):
+        for (dof, p), want in FROZEN_QUANTILES.items():
+            assert chi2_quantile(dof, p) == want, (dof, p)
+
+
+class TestConvergenceCaps:
+    def test_series_cap_is_a_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_GAMMA_ITMAX", 10)
+        monkeypatch.setattr(distributions, "_GAMMA_ITERS_PER_SQRT_A", 0)
+        with pytest.raises(ConvergenceError, match="series failed to converge"):
+            chi2_cdf(1000, 1000.0)
+
+    def test_continued_fraction_cap_is_a_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_GAMMA_ITMAX", 10)
+        monkeypatch.setattr(distributions, "_GAMMA_ITERS_PER_SQRT_A", 0)
+        with pytest.raises(ConvergenceError, match="continued fraction failed to converge"):
+            chi2_cdf(1000, 1010.0)
 
 
 class TestGaussianTv:

@@ -64,6 +64,41 @@ class TestMapBlocks:
         np.testing.assert_array_equal(results[1], reference)
         np.testing.assert_array_equal(results[3], results[1])
 
+    @staticmethod
+    def _count_pools(monkeypatch):
+        import concurrent.futures
+
+        built = []
+
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+        return built
+
+    def test_small_map_runs_without_a_pool(self, monkeypatch):
+        # a lone single-coordinate test draws one column: 25 blocks of 4096
+        # normals, which a thread pool only slows down
+        built = self._count_pools(monkeypatch)
+        model = GaussianLocationModel(n=100, d=2981)
+        test = spike_z_test(100, 2981, 1)
+        theta = np.zeros(2981)
+        est = {
+            w: estimate_rejection_prob(test, model, theta, McConfig(reps=100_000, master_seed=9, workers=w))
+            for w in (1, 2)
+        }
+        assert built == []
+        assert json.dumps(est[2].to_dict()) == json.dumps(est[1].to_dict())
+
+    def test_full_width_map_still_gets_a_pool(self, monkeypatch):
+        built = self._count_pools(monkeypatch)
+        model = GaussianLocationModel(n=100, d=300)
+        mc = McConfig(reps=2 * mc_module.BLOCK_REPS, master_seed=9, workers=2)
+        estimate_rejection_prob(chi2_euclidean_test(100, 300, 0.05), model, np.zeros(300), mc)
+        assert built == [2]
+
 
 class TestEstimateRejectionProb:
     def test_constant_one(self):
@@ -92,7 +127,8 @@ class TestEstimateRejectionProb:
             )
 
     def test_worker_count_invariance(self):
-        n, d = 100, 10
+        # 10000 reps x 128 coordinates: enough draws to run on a thread pool
+        n, d = 100, 128
         model = GaussianLocationModel(n=n, d=d)
         test = chi2_euclidean_test(n, d, 0.05)
         results = [
