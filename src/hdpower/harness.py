@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import chi2_quantile, gaussian_tv, noncentral_chi2_cdf
 from .errors import DomainError, SpecError
-from .mc import McConfig, estimate_rejection_prob, estimate_rejection_probs, map_blocks
+from .mc import McConfig, estimate_rejection_prob, estimate_rejection_probs, map_blocks, row_chunks
 from .mixture import find_blind_spot
 from .models import FixedDesignRegression, GaussianLocationModel, embed
 from .rng import substream
@@ -330,8 +330,12 @@ def embedding_equivalence_check(
     theta_big = big.require_member(embed(theta_small, d2))
 
     def draw(model, point, tag):
+        # full-width blocks keep the stream; only the d1 columns read are kept
+        # (a copy, since a view would keep the whole block alive)
         return np.concatenate(
-            map_blocks(mc, tag, model.d, lambda rng, m: model.sample_statistic(point, rng, m))
+            map_blocks(
+                mc, tag, model.d, lambda rng, m: model.sample_statistic(point, rng, m)[:, :d1].copy()
+            )
         )
 
     stats_small = draw(small, theta_small, "embed-check:small")
@@ -349,7 +353,7 @@ def embedding_equivalence_check(
         "exact_tv_per_coordinate": [gaussian_tv(0.0)] * d1,
         "ks": ks_rows,
         "mean_small": [float(v) for v in stats_small.mean(axis=0)],
-        "mean_big": [float(v) for v in stats_big[:, :d1].mean(axis=0)],
+        "mean_big": [float(v) for v in stats_big.mean(axis=0)],
         "reps": mc.reps,
         "seed": mc.master_seed,
     }
@@ -419,10 +423,16 @@ def enhanceability_demo(test_spec: str, regime: RegimeSpec, mc: McConfig) -> dic
         tests, model, spike_theta, mc, tag="demo:power-at-spike"
     )
 
-    # explicit pointwise dominance check on a fresh sample (enhance() also
-    # asserts it on every evaluated batch)
-    sample = model.sample_statistic(spike_theta, substream(mc.master_seed, "demo:dominance"), 2048)
-    dominance = bool(np.all(psi.evaluate_batch(sample) >= phi.evaluate_batch(sample)))
+    # explicit pointwise dominance check on a fresh sample of 2048 rows, drawn
+    # in row chunks of one stream (enhance() also asserts it on every
+    # evaluated batch)
+    rng = substream(mc.master_seed, "demo:dominance")
+
+    def dominates(rows: int) -> bool:
+        sample = model.sample_statistic(spike_theta, rng, rows)
+        return bool(np.all(psi.evaluate_batch(sample) >= phi.evaluate_batch(sample)))
+
+    dominance = all(dominates(hi - lo) for lo, hi in row_chunks(2048, d))
 
     power_slack = 3.0 * (report.size.se + report.power_at_spike.se)
     checks = {

@@ -54,6 +54,12 @@ class TestFunction:
     statistic and "observations" for tests that need raw per-observation
     data (one batch element is then an (n_obs, dim) matrix).
 
+    ``batch`` maps rows independently: a row's value depends only on that
+    row, never on the other rows or on the batch size (up to floating-point
+    rounding of a statistic that lands on its threshold, since a BLAS
+    product may round differently for another batch shape). The Monte Carlo
+    engine relies on this when it evaluates a block in row chunks.
+
     ``spike_kernel`` is optional and serves the spike scan. Built from an
     (m, dim) block of statistics ``z`` and a shift ``s`` in O(m * dim), it
     returns ``cols(lo, hi)``: an (m, hi - lo) array whose column ``j`` holds

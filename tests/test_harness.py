@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,11 +36,12 @@ from hdpower import (
     run_regime,
     spike_alternative,
     spike_z_test,
+    sup_norm_test,
 )
 from hdpower import mc as mc_module
 from hdpower.cli import main
 from hdpower.harness import RESULT_COLUMNS, ks_two_sample
-from hdpower.mc import block_layout, map_blocks
+from hdpower.mc import block_layout, map_blocks, row_chunks
 from hdpower.rng import substream
 
 
@@ -234,6 +236,114 @@ class TestEstimateRejectionProbs:
             estimate_rejection_probs([tscore, constant_test(d)], model, np.zeros(d), McConfig(reps=10))
         with pytest.raises(DomainError):
             estimate_rejection_probs([], model, np.zeros(d), McConfig(reps=10))
+
+
+def _chunk_parity_cases():
+    n, d = 100, 300
+    gauss = GaussianLocationModel(n=n, d=d)
+    spike = spike_alternative(n, d, 5).theta
+    chi2 = chi2_euclidean_test(n, d, 0.05)
+    regression = FixedDesignRegression.default_design(400, 5)
+    obs = GaussianLocationModel(n=1_000, d=2)
+    return {
+        "chi2": ([chi2], gauss, np.zeros(d), 5_000),
+        "halfspace": ([make_test("halfspace:seed=3", n, d)], gauss, spike, 5_000),
+        "spike-column": ([spike_z_test(n, d, 5)], gauss, spike, 5_000),
+        "constant-0.3": ([constant_test(d, 0.3)], gauss, np.zeros(d), 5_000),
+        "scaled": ([make_test("halfspace:seed=4", n, d)], ScaledGaussianModel(n=n, d=d), np.full(d, 0.5), 5_000),
+        "wald": ([make_test("wald", 400, 5, model=regression)], regression, np.full(5, 0.03), 5_000),
+        "tscore": ([make_test("tscore:cal_reps=20000", 1_000, 2, model=obs)], obs, [1_000**-0.25, 0.0], 1_000),
+        "common": ([chi2, sup_norm_test(n, d), make_test("enhance(chi2,supnorm)", n, d)], gauss, spike, 5_000),
+    }
+
+
+_PARITY_CASES = _chunk_parity_cases()
+
+
+class TestRowChunks:
+    def test_chunks_cover_the_block(self):
+        for m, elems in ((4096, 1), (4096, 64), (1407, 2981), (7, 1 << 20), (1, 5)):
+            chunks = row_chunks(m, elems)
+            assert chunks[0][0] == 0 and chunks[-1][1] == m
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            assert all(1 <= hi - lo and ((hi - lo) * elems <= mc_module._CHUNK_ELEMS or hi - lo == 1)
+                       for lo, hi in chunks)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
+    def test_chunk_size_does_not_move_estimates(self, monkeypatch, case, workers):
+        tests, model, theta, reps = _PARITY_CASES[case]
+        if tests[0].consumes == "observations":
+            elems = model.n * model.d
+        else:
+            elems = 1 if tests[0].coordinate is not None else model.statistic_dim
+        mc = McConfig(reps=reps, master_seed=17, workers=workers)
+        results = []
+        # three rows per chunk leaves a one-row tail in a 4096-row block;
+        # 2^23 elements exceed any block, so each block is one chunk
+        for chunk in (3 * elems, 1 << 23):
+            monkeypatch.setattr(mc_module, "_CHUNK_ELEMS", chunk)
+            results.append(estimate_rejection_probs(tests, model, theta, mc, tag="chunk-parity"))
+        assert results[0] == results[1]
+        assert 0.0 < sum(e.mean for e in results[0]) and all(e.reps == reps for e in results[0])
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_chi2_estimate_holds_one_chunk(self):
+        n, d = 100, 2981
+        model, test = GaussianLocationModel(n=n, d=d), chi2_euclidean_test(n, d, 0.05)
+        mc = McConfig(reps=4_096, master_seed=0)
+        # a whole 1407-row block is 33.6 MB
+        assert _traced_peak(lambda: estimate_rejection_prob(test, model, np.zeros(d), mc)) < 8 << 20
+
+    def test_tscore_estimate_holds_one_chunk(self):
+        model = GaussianLocationModel(n=10_000, d=2)
+        test = make_test("tscore", 10_000, 2, model=model)
+        mc = McConfig(reps=500, master_seed=0)
+        # a whole 209-row block of raw observations is 33.4 MB
+        assert _traced_peak(lambda: estimate_rejection_prob(test, model, [0.1, 0.0], mc)) < 8 << 20
+
+    def test_demo_dominance_sample_is_chunked(self):
+        d = 16_384
+        regime = RegimeSpec("linear", (d,))
+        peak = _traced_peak(
+            lambda: enhanceability_demo("chi2:alpha=0.05", regime, McConfig(reps=1_000, master_seed=3))
+        )
+        # the one-call dominance sample alone was 2048 * d * 8 = 268 MB
+        assert peak < 2048 * d * 8 // 4
+
+    def test_embed_check_keeps_only_read_columns(self):
+        d2, reps = 5_000, 5_000
+        mc = McConfig(reps=reps, master_seed=3)
+        peak = _traced_peak(lambda: embedding_equivalence_check(3, d2, np.zeros(3), 100, mc))
+        # the full-width draws were reps * d2 * 8 = 200 MB
+        assert peak < reps * d2 * 8 // 4
+
+    def test_each_normal_draw_is_at_most_one_chunk(self, monkeypatch):
+        n, d, reps = 100, 2981, 3_000
+        draws: dict[tuple, list[int]] = {}
+        original = mc_module.substream
+        monkeypatch.setattr(
+            mc_module, "substream", lambda *key: CountingGenerator(original(*key), draws.setdefault(key, []))
+        )
+        model = GaussianLocationModel(n=n, d=d)
+        estimate_rejection_prob(chi2_euclidean_test(n, d, 0.05), model, np.zeros(d), McConfig(reps=reps))
+        blocks = block_layout(reps, d)
+        assert sorted(key[-1] for key in draws) == [b for b, _ in blocks]
+        for b, m in blocks:
+            sizes = draws[(0, "rejection-prob", b)]
+            assert sum(sizes) == m * d
+            assert max(sizes) <= mc_module._CHUNK_ELEMS
+            assert len(sizes) == math.ceil(m / (mc_module._CHUNK_ELEMS // d))
 
 
 class TestRegimeSpec:
