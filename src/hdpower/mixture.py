@@ -24,12 +24,13 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError
-from .mc import McConfig, PowerEstimate, map_blocks, summarize
+from .mc import McConfig, PowerEstimate, map_blocks, row_chunks, summarize
 from .models import GaussianLocationModel, SpikeAlternative, spike_alternative, spike_magnitude
 from .testfuncs import TestFunction
 
-# elements per spike-kernel column chunk: large enough for numpy to release
-# the GIL, small enough to keep the chunk's temporaries out of peak memory
+# elements per (rows, columns) value block of the scan: a row chunk of r rows
+# is walked _SCAN_CHUNK // r columns at a time, large enough for numpy to
+# release the GIL, small enough to keep the temporaries out of peak memory
 _SCAN_CHUNK = 1 << 15
 
 
@@ -134,10 +135,17 @@ def _spike_scan(
     so the size and per-coordinate power estimates are maximally correlated
     and the gap bound is checkable at desk-scale replication counts.
 
-    A test with a spike kernel that consumes statistics is scanned in
-    O(m * d) per block of m replications, in column chunks; any other test
-    is re-evaluated once per coordinate, O(m * d^2) per block. Both paths
-    reduce the same per-coordinate values in the same order.
+    Each block is drawn and evaluated in consecutive row chunks
+    (``row_chunks``) from the block's one substream, so a worker holds one
+    chunk of draws plus (r, k) value blocks of about ``_SCAN_CHUNK``
+    elements, whatever the block size. A test with a spike kernel that
+    consumes statistics fills each (r, k) block of r chunk rows and k
+    coordinates in O(r * k); any other test fills it one coordinate at a
+    time by re-evaluating the shifted chunk, O(r * d) per coordinate. Both
+    paths share one reduction of each block into the per-coordinate sums and
+    the per-row pooled sums, so they agree bit for bit. Values of 0 and 1 sum
+    to exact integers in any order, so such tests do not depend on the chunk
+    sizes either.
 
     Returns (per-coordinate means, per-coordinate ses, pooled average-power
     estimate, null size estimate); each coordinate sees exactly mc.reps
@@ -167,35 +175,37 @@ def _spike_scan(
     else:
         raise DomainError(f"unknown test input kind {test.consumes!r}")
 
-    def kernel_rows(cols, m: int):
-        step = max(1, _SCAN_CHUNK // m)
-        for lo in range(0, d, step):
-            hi = min(d, lo + step)
-            # one contiguous row per coordinate, so the sums below add in the
-            # loop's order and give its bits even for non-dyadic values
-            yield lo, hi, np.ascontiguousarray(cols(lo, hi).T)
+    def loop_columns(draws: np.ndarray):
+        def cols(lo: int, hi: int) -> np.ndarray:
+            out = np.empty((len(draws), hi - lo))
+            for j in range(hi - lo):
+                col = column(draws, lo + j)
+                saved = col.copy()
+                col += shift
+                out[:, j] = test.evaluate_batch(draws)
+                col[:] = saved
+            return out
 
-    def loop_rows(draws: np.ndarray):
-        for i in range(d):
-            col = column(draws, i)
-            saved = col.copy()
-            col += shift
-            vals = test.evaluate_batch(draws)
-            col[:] = saved
-            yield i, i + 1, vals[np.newaxis]
+        return cols
 
     def work(rng: np.random.Generator, m: int):
-        draws = rng.standard_normal(shape(m))
-        null_vals = test.evaluate_batch(draws)
-        cols = test.spike_columns(draws, shift) if test.consumes == "statistic" else None
-        coord_sum = np.empty(d)
-        coord_sumsq = np.empty(d)
+        null_vals = np.empty(m)
         pooled = np.zeros(m)
-        for lo, hi, rows in loop_rows(draws) if cols is None else kernel_rows(cols, m):
-            coord_sum[lo:hi] = rows.sum(axis=1)
-            coord_sumsq[lo:hi] = (rows * rows).sum(axis=1)
-            for vals in rows:
-                pooled += vals
+        coord_sum = np.zeros(d)
+        coord_sumsq = np.zeros(d)
+        for r_lo, r_hi in row_chunks(m, elems):
+            draws = rng.standard_normal(shape(r_hi - r_lo))
+            null_vals[r_lo:r_hi] = test.evaluate_batch(draws)
+            cols = test.spike_columns(draws, shift) if test.consumes == "statistic" else None
+            if cols is None:
+                cols = loop_columns(draws)
+            step = max(1, _SCAN_CHUNK // (r_hi - r_lo))
+            for lo in range(0, d, step):
+                hi = min(d, lo + step)
+                vals = cols(lo, hi)
+                coord_sum[lo:hi] += vals.sum(axis=0)
+                coord_sumsq[lo:hi] += (vals * vals).sum(axis=0)
+                pooled[r_lo:r_hi] += vals.sum(axis=1)
         pooled /= d
         return (
             m,
@@ -212,8 +222,12 @@ def _spike_scan(
     null_est = summarize(
         reps, math.fsum(p[1] for p in parts), math.fsum(p[2] for p in parts), mc.master_seed
     )
-    coord_sum = np.sum([p[3] for p in parts], axis=0)
-    coord_sumsq = np.sum([p[4] for p in parts], axis=0)
+    # added in block order, without stacking the parts into a (blocks, d) array
+    coord_sum = np.zeros(d)
+    coord_sumsq = np.zeros(d)
+    for p in parts:
+        coord_sum += p[3]
+        coord_sumsq += p[4]
     pooled_est = summarize(
         reps, math.fsum(p[5] for p in parts), math.fsum(p[6] for p in parts), mc.master_seed
     )

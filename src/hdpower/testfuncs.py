@@ -61,7 +61,8 @@ class TestFunction:
     engine relies on this when it evaluates a block in row chunks.
 
     ``spike_kernel`` is optional and serves the spike scan. Built from an
-    (m, dim) block of statistics ``z`` and a shift ``s`` in O(m * dim), it
+    (m, dim) row chunk of statistics ``z`` (not a whole block: the scan
+    builds one kernel per chunk) and a shift ``s`` in O(m * dim), it
     returns ``cols(lo, hi)``: an (m, hi - lo) array whose column ``j`` holds
     the rejection values of ``z`` with coordinate ``lo + j`` increased by
     ``s``. It must agree with ``batch`` on those shifted statistics (up to

@@ -29,8 +29,10 @@ from hdpower import (
     substream,
     sup_norm_test,
 )
+from hdpower import mc as mc_module
 from hdpower import testfuncs
 from hdpower.mixture import MixtureDiagnostics, _spike_scan
+from test_harness import CountingGenerator, _traced_peak
 
 
 class TestMixtureLikelihoodRatio:
@@ -373,3 +375,93 @@ class TestSpikeKernelScan:
         cols = psi.spike_columns(z, 2.0)
         with pytest.raises(DomainError, match="dominance"):
             cols(0, d)
+
+
+def _pulled_back(n, d):
+    """A black-box test of the first three coordinates, with no spike kernel."""
+    base = chi2_euclidean_test(n, 3, 0.05)
+    return testfuncs.TestFunction(name="pullback", dim=d, batch=lambda z: base.evaluate_batch(z[:, :3]))
+
+
+class TestScanRowChunks:
+    N, D = 64, 20
+
+    @staticmethod
+    def _scan(monkeypatch, test, n, d, mc, three_rows):
+        """The scan in three-row chunks (uneven: a 4096-row block leaves a
+        one-row tail), or with each block in one chunk."""
+        elems = d if test.consumes == "statistic" else n * d
+        # a two-block map gets the pool at workers 2, however few its elements
+        monkeypatch.setattr(mc_module, "_POOL_MIN_ELEMS", 0)
+        monkeypatch.setattr(mc_module, "_CHUNK_ELEMS", 3 * elems + 1 if three_rows else 1 << 23)
+        return _spike_scan(test, GaussianLocationModel(n=n, d=d), mc)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("spec", KERNEL_SPECS + ("pullback", "tscore:cal_reps=20000"))
+    def test_chunk_size_does_not_move_the_scan(self, monkeypatch, spec, workers):
+        n, d, reps = self.N, self.D, 5_000
+        if spec == "pullback":
+            test = _pulled_back(n, d)
+        elif spec.startswith("tscore"):
+            n, d, reps = 16, 3, 4_500
+            test = make_test(spec, n, d)
+        else:
+            test = make_test(spec, n, d)
+        mc = McConfig(reps=reps, master_seed=19, workers=workers)
+        assert len(mc_module.block_layout(reps, d if test.consumes == "statistic" else n * d)) == 2
+        chunked, whole = (self._scan(monkeypatch, test, n, d, mc, three_rows) for three_rows in (True, False))
+        assert _same_scan(chunked, whole)
+
+    def test_non_dyadic_kernel_equals_loop_in_three_row_chunks(self, monkeypatch):
+        n, d = self.N, self.D
+        test = enhance(spike_z_test(n, d, 2), constant_test(d, 0.3))
+        mc = McConfig(reps=1_000, master_seed=14)
+        kernel, loop = (
+            self._scan(monkeypatch, t, n, d, mc, True) for t in (test, dataclasses.replace(test, spike_kernel=None))
+        )
+        assert _same_scan(kernel, loop)
+
+    def test_non_dyadic_sums_are_within_rounding_of_exact_sums(self, monkeypatch):
+        # the chunked sums of 0.3-valued rows associate differently from a
+        # whole-block sum, but only by rounding
+        n, d, reps = self.N, self.D, 1_000
+        test = enhance(spike_z_test(n, d, 2), constant_test(d, 0.3))
+        means, _, pooled, null = self._scan(monkeypatch, test, n, d, McConfig(reps=reps, master_seed=14), True)
+        z = substream(14, "spike-scan", 0).standard_normal((reps, d))
+        shift = math.sqrt(n) * spike_alternative(n, d, 1).theta[0]
+        spiked = []
+        for i in range(d):
+            shifted = z.copy()
+            shifted[:, i] += shift
+            spiked.append(test.evaluate_batch(shifted))
+        exact = [math.fsum(v) / reps for v in spiked]
+        assert np.allclose(means, exact, rtol=0.0, atol=1e-12)
+        assert abs(pooled.mean - math.fsum(np.concatenate(spiked)) / (reps * d)) < 1e-12
+        assert abs(null.mean - math.fsum(test.evaluate_batch(z)) / reps) < 1e-12
+
+
+class TestScanMemory:
+    N = D = 4096
+
+    @pytest.mark.parametrize("spec", ["chi2", "supnorm", "halfspace"])
+    def test_scan_holds_one_row_chunk(self, spec):
+        test = make_test(spec, self.N, self.D)
+        model = GaussianLocationModel(n=self.N, d=self.D)
+        mc = McConfig(reps=1_024, master_seed=0)
+        # the scan's one 1024-row block is 32 MB of draws
+        assert _traced_peak(lambda: _spike_scan(test, model, mc)) < 10 << 20
+
+    def test_each_normal_draw_is_at_most_one_chunk(self, monkeypatch):
+        n, d, reps = self.N, self.D, 2_500
+        draws: dict[tuple, list[int]] = {}
+        original = mc_module.substream
+        monkeypatch.setattr(
+            mc_module, "substream", lambda *key: CountingGenerator(original(*key), draws.setdefault(key, []))
+        )
+        _spike_scan(make_test("chi2", n, d), GaussianLocationModel(n=n, d=d), McConfig(reps=reps))
+        blocks = mc_module.block_layout(reps, d)
+        assert sorted(key[-1] for key in draws) == [b for b, _ in blocks]
+        for b, m in blocks:
+            sizes = draws[(0, "spike-scan", b)]
+            assert sum(sizes) == m * d
+            assert max(sizes) <= mc_module._CHUNK_ELEMS
