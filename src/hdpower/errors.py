@@ -18,10 +18,6 @@ class ParameterError(HdPowerError, ValueError):
     """A parameter vector lies outside the model's parameter space."""
 
 
-class CalibrationError(HdPowerError, RuntimeError):
-    """A Monte Carlo calibration step could not produce a usable threshold."""
-
-
 class ConvergenceError(HdPowerError, RuntimeError):
     """A numerical series or iteration stopped at its step cap unconverged."""
 

@@ -44,8 +44,8 @@ class McConfig:
             raise DomainError(f"reps must be >= 1, got {self.reps}")
         if self.workers < 1:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
-        if self.master_seed < 0:
-            raise DomainError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise DomainError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
 
 
 @dataclass(frozen=True)

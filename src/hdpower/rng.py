@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import DomainError
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -23,8 +25,12 @@ def tag_to_int(tag: str) -> int:
 
 
 def substream(master_seed: int, tag: str, *indices: int) -> np.random.Generator:
-    """Generator for the (master_seed, tag, *indices) key."""
-    entropy = [int(master_seed) & _MASK64, tag_to_int(tag)]
+    """Generator for the (master_seed, tag, *indices) key; the master seed
+    must lie in [0, 2^64), so distinct seeds never share a stream."""
+    master_seed = int(master_seed)
+    if not 0 <= master_seed <= _MASK64:
+        raise DomainError(f"seed must be in [0, 2^64), got {master_seed}")
+    entropy = [master_seed, tag_to_int(tag)]
     entropy.extend(int(i) & _MASK64 for i in indices)
     seq = np.random.SeedSequence(entropy)
     return np.random.Generator(np.random.Philox(seq))

@@ -27,8 +27,7 @@ from .distributions import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from .errors import CalibrationError, DomainError, SpecError
-from .mc import McConfig, map_blocks
+from .errors import DomainError, SpecError
 from .models import FixedDesignRegression, GaussianLocationModel, spike_magnitude
 from .rng import substream
 
@@ -83,7 +82,6 @@ class TestFunction:
     batch: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     level: float | None = None
     consumes: str = "statistic"
-    calibration_seed: int | None = None
     spike_kernel: SpikeKernel | None = field(default=None, repr=False)
     coordinate: int | None = None
 
@@ -266,7 +264,6 @@ def halfspace_test(n: int, d: int, alpha: float = 0.05, seed: int = 0) -> TestFu
         dim=d,
         batch=batch,
         level=alpha,
-        calibration_seed=seed,
         spike_kernel=spike_kernel,
     )
 
@@ -334,23 +331,22 @@ def enhance(phi: TestFunction, nu: TestFunction) -> TestFunction:
 
 
 def truncated_score_test(
-    model: GaussianLocationModel,
-    alpha: float,
-    C: float | None = None,
-    calibration: McConfig | None = None,
+    model: GaussianLocationModel, alpha: float, C: float | None = None
 ) -> TestFunction:
-    """Norm test of the truncated, centered score, calibrated by simulation.
+    """Norm test of the truncated, centered score.
 
     The per-observation score of the Gaussian location model at the null is
     the observation itself, truncated to L_C(x) = x * 1{||x|| <= C}. The test
     statistic is ||n^{-1/2} sum_i L_C(X_i)|| (the null expectation of L_C is
-    exactly zero by symmetry) and the critical value is the Monte Carlo
-    1 - alpha quantile of the norm of N_d(0, M), where the truncated-score
-    covariance M = chi2_cdf(d + 2, C^2) * I_d is available in closed form.
+    exactly zero by symmetry). Its limiting null law is the norm of
+    N_d(0, M) with the truncated-score covariance M = c I_d,
+    c = chi2_cdf(d + 2, C^2). That norm is sqrt(c) times a chi variable with
+    d degrees of freedom, so the critical value
+    sqrt(c * chi2_quantile(d, 1 - alpha)) is the exact 1 - alpha quantile of
+    the limiting law.
 
     Default C = 3 sqrt(d) keeps more than 98% of the score mass untruncated
-    at desk-scale d, so M stays well conditioned. The calibration seed and
-    replication count are part of the test's identity.
+    at desk-scale d, so M stays well conditioned.
     """
     alpha = _check_alpha(alpha)
     d = model.d
@@ -360,21 +356,14 @@ def truncated_score_test(
     C = float(C)
     if not C > 0.0:
         raise DomainError(f"truncation radius must be > 0, got {C!r}")
-    if calibration is None:
-        calibration = McConfig(reps=1_000_000, master_seed=0)
 
     cov_coef = 1.0 if math.isinf(C) else chi2_cdf(d + 2, C * C)
     if cov_coef < 1e-8:
-        raise CalibrationError(
+        raise DomainError(
             f"truncated-score covariance is numerically singular: C={C:g} keeps "
             f"only a {cov_coef:.3g} fraction of the score variance; increase C"
         )
-
-    def block_norms(rng: np.random.Generator, m: int) -> np.ndarray:
-        return np.linalg.norm(rng.standard_normal((m, d)), axis=1)
-
-    norms = np.concatenate(map_blocks(calibration, "truncated-score-calibration", d, block_norms))
-    q_alpha = math.sqrt(cov_coef) * float(np.quantile(norms, 1.0 - alpha))
+    q_alpha = math.sqrt(cov_coef * chi2_quantile(d, 1.0 - alpha))
 
     def batch(x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != n or x.shape[2] != d:
@@ -388,12 +377,11 @@ def truncated_score_test(
         return (stat >= q_alpha).astype(float)
 
     return TestFunction(
-        name=f"tscore(alpha={alpha:g},C={C:g},cal_seed={calibration.master_seed})",
+        name=f"tscore(alpha={alpha:g},C={C:g})",
         dim=d,
         batch=batch,
         level=alpha,
         consumes="observations",
-        calibration_seed=calibration.master_seed,
     )
 
 
@@ -431,7 +419,7 @@ def wald_test_at_level(model: FixedDesignRegression, alpha: float) -> TestFuncti
 # test-spec mini-grammar:  name(:key=value(,key=value)*)?  |  enhance(a,b)
 # ---------------------------------------------------------------------------
 
-_INT_KEYS = {"i", "seed", "cal_seed", "cal_reps"}
+_INT_KEYS = {"i", "seed"}
 
 
 def _parse_kv(args: str, allowed: set[str], spec: str) -> dict:
@@ -506,10 +494,9 @@ def make_test(spec: str, n: int, d: int, *, model=None) -> TestFunction:
         _parse_kv(args, set(), spec)
         return constant_test(d)
     if name == "tscore":
-        opts = _parse_kv(args, {"alpha", "C", "cal_seed", "cal_reps"}, spec)
+        opts = _parse_kv(args, {"alpha", "C"}, spec)
         base = model if isinstance(model, GaussianLocationModel) else GaussianLocationModel(n=n, d=d)
-        calibration = McConfig(reps=opts.get("cal_reps", 1_000_000), master_seed=opts.get("cal_seed", 0))
-        return truncated_score_test(base, opts.get("alpha", 0.05), opts.get("C"), calibration)
+        return truncated_score_test(base, opts.get("alpha", 0.05), opts.get("C"))
     if name == "wald":
         opts = _parse_kv(args, {"alpha", "C"}, spec)
         if not isinstance(model, FixedDesignRegression):

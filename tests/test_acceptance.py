@@ -206,7 +206,7 @@ def test_criterion_7_fixed_d_unenhanceable_signature():
     powers = []
     for n in (100, 1_000, 10_000):
         loc = GaussianLocationModel(n=n, d=2)
-        test = truncated_score_test(loc, 0.05, calibration=McConfig(reps=1_000_000, master_seed=0))
+        test = truncated_score_test(loc, 0.05)
         theta_n = np.array([n**-0.25, 0.0])
         power = estimate_rejection_prob(test, loc, theta_n, McConfig(reps=20_000, master_seed=110))
         powers.append(power.mean)

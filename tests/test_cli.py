@@ -144,6 +144,28 @@ class TestSimulate:
         assert code == 3
         assert "alpha" in err
 
+    def test_degenerate_truncation_radius_exits_3(self, capsys):
+        code, _, err = run_cli(
+            ["simulate", "--test", "tscore:C=0.001", "--n", "20", "--d", "4"],
+            capsys,
+        )
+        assert code == 3
+        assert "increase C" in err
+
+    def test_seed_outside_64_bits_exits_3(self, capsys):
+        # taken mod 2^64, these would alias seeds 0, 1 and 2^64 - 1
+        for spec, seed in (
+            ("chi2:alpha=0.05", str(1 << 64)),
+            ("halfspace:seed=18446744073709551617", "0"),
+            ("halfspace:seed=-1", "0"),
+        ):
+            code, _, err = run_cli(
+                ["simulate", "--test", spec, "--n", "20", "--d", "4", "--reps", "100", "--seed", seed],
+                capsys,
+            )
+            assert code == 3
+            assert "2^64" in err
+
     def test_spike_theta_shortcut(self, capsys):
         code, out, _ = run_cli(
             ["simulate", "--test", "spike:i=1", "--n", "100", "--d", "100",

@@ -231,7 +231,7 @@ class TestEstimateRejectionProbs:
     def test_needs_one_input_kind(self):
         n, d = 6, 2
         model = GaussianLocationModel(n=n, d=d)
-        tscore = make_test("tscore:cal_reps=10000", n, d, model=model)
+        tscore = make_test("tscore", n, d, model=model)
         with pytest.raises(DomainError, match="input kind"):
             estimate_rejection_probs([tscore, constant_test(d)], model, np.zeros(d), McConfig(reps=10))
         with pytest.raises(DomainError):
@@ -252,7 +252,7 @@ def _chunk_parity_cases():
         "constant-0.3": ([constant_test(d, 0.3)], gauss, np.zeros(d), 5_000),
         "scaled": ([make_test("halfspace:seed=4", n, d)], ScaledGaussianModel(n=n, d=d), np.full(d, 0.5), 5_000),
         "wald": ([make_test("wald", 400, 5, model=regression)], regression, np.full(5, 0.03), 5_000),
-        "tscore": ([make_test("tscore:cal_reps=20000", 1_000, 2, model=obs)], obs, [1_000**-0.25, 0.0], 1_000),
+        "tscore": ([make_test("tscore", 1_000, 2, model=obs)], obs, [1_000**-0.25, 0.0], 1_000),
         "common": ([chi2, sup_norm_test(n, d), make_test("enhance(chi2,supnorm)", n, d)], gauss, spike, 5_000),
     }
 

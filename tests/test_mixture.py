@@ -316,18 +316,23 @@ class TestSpikeKernelScan:
 
     def test_observation_test_keeps_coordinate_loop(self):
         n, d = 16, 3
-        test, calls = _counted(make_test("tscore:cal_reps=20000", n, d))
+        test, calls = _counted(make_test("tscore", n, d))
         assert test.spike_kernel is None
         mc = McConfig(reps=1_500, master_seed=17)
         means, _, pooled, null = _spike_scan(test, GaussianLocationModel(n=n, d=d), mc)
         assert calls == [1_500] * (d + 1)
-        assert means.tolist() == [0.12733333333333333, 0.12466666666666666, 0.12266666666666666]
-        assert (pooled.mean, pooled.se) == (0.12488888888888888, 0.006791643521984411)
-        assert (null.mean, null.se) == (0.05333333333333334, 0.005803594897568459)
+        assert means.tolist() == [0.126, 0.124, 0.12066666666666667]
+        assert (pooled.mean, pooled.se) == (0.12355555555555554, 0.006756891986921435)
+        assert (null.mean, null.se) == (0.05266666666666667, 0.005769238713742917)
+        # brute force: the scan's one block, re-evaluated with each spike added
+        draws = substream(17, "spike-scan", 0).standard_normal((1_500, n, d))
+        assert test.batch(draws).mean() == null.mean
+        for i in range(d):
+            assert test.batch(draws + spike_alternative(n, d, i + 1).theta).mean() == means[i]
 
     def test_enhance_without_both_kernels_has_none(self):
         n, d = 16, 3
-        tscore = make_test("tscore:cal_reps=20000", n, d)
+        tscore = make_test("tscore", n, d)
         assert enhance(tscore, tscore).spike_kernel is None
         base = chi2_euclidean_test(n, d, 0.05)
         assert enhance(base, dataclasses.replace(base, spike_kernel=None)).spike_kernel is None
@@ -397,7 +402,7 @@ class TestScanRowChunks:
         return _spike_scan(test, GaussianLocationModel(n=n, d=d), mc)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("spec", KERNEL_SPECS + ("pullback", "tscore:cal_reps=20000"))
+    @pytest.mark.parametrize("spec", KERNEL_SPECS + ("pullback", "tscore"))
     def test_chunk_size_does_not_move_the_scan(self, monkeypatch, spec, workers):
         n, d, reps = self.N, self.D, 5_000
         if spec == "pullback":

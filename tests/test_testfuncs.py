@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hdpower import (
-    CalibrationError,
     DomainError,
     FixedDesignRegression,
     GaussianLocationModel,
@@ -303,7 +303,7 @@ class TestRangeInvariant:
 
     def test_observation_tests_stay_in_unit_interval_on_extremes(self):
         gauss = GaussianLocationModel(n=6, d=3)
-        tscore = truncated_score_test(gauss, 0.05, calibration=McConfig(reps=100_000, master_seed=0))
+        tscore = truncated_score_test(gauss, 0.05)
         reg = FixedDesignRegression.default_design(n=6, d=2)
         wald = wald_test_at_level(reg, 0.05)
         rng = substream(17, "obs-extremes")
@@ -320,26 +320,39 @@ class TestRangeInvariant:
 class TestTruncatedScore:
     def test_untruncated_d1_is_z_test(self):
         model = GaussianLocationModel(n=20, d=1)
-        test = truncated_score_test(model, 0.05, C=math.inf, calibration=McConfig(reps=1_000_000, master_seed=0))
+        test = truncated_score_test(model, 0.05, C=math.inf)
         est = estimate_rejection_prob(test, model, np.zeros(1), McConfig(reps=100_000, master_seed=12))
         assert abs(est.mean - 0.05) < 0.003
 
     def test_default_radius_null_rate(self):
         model = GaussianLocationModel(n=50, d=2)
-        test = truncated_score_test(model, 0.05, calibration=McConfig(reps=1_000_000, master_seed=0))
+        test = truncated_score_test(model, 0.05)
         assert "C=4.24264" in test.name
-        # validation uses a fresh seed, independent of the calibration stream
         est = estimate_rejection_prob(test, model, np.zeros(2), McConfig(reps=100_000, master_seed=13))
         assert abs(est.mean - 0.05) < binom_3se(0.05, est.reps)
 
-    def test_tiny_radius_raises_calibration_error(self):
+    @pytest.mark.parametrize("C", [None, math.inf])
+    @pytest.mark.parametrize("d", [1, 2, 5, 50])
+    def test_threshold_is_limiting_quantile(self, d, C):
+        # with n = 1 and one nonzero coordinate the statistic is exactly
+        # |x_1|, so rejecting at oracle + 1e-9 but not at oracle - 1e-9 puts
+        # the threshold within 1e-9 of the oracle
+        radius = 3.0 * math.sqrt(d) if C is None else C
+        oracle = math.sqrt(stats.chi2.cdf(radius**2, d + 2) * stats.chi2.ppf(0.95, d))
+        test = truncated_score_test(GaussianLocationModel(n=1, d=d), 0.05, C)
+        x = np.zeros((1, d))
+        for value, expected in ((oracle - 1e-9, 0.0), (oracle + 1e-9, 1.0)):
+            x[0, 0] = value
+            assert test.evaluate(x) == expected
+
+    def test_tiny_radius_raises_domain_error(self):
         model = GaussianLocationModel(n=20, d=4)
-        with pytest.raises(CalibrationError):
+        with pytest.raises(DomainError):
             truncated_score_test(model, 0.05, C=1e-3)
 
     def test_consumes_observations(self):
         model = GaussianLocationModel(n=10, d=2)
-        test = truncated_score_test(model, 0.05, calibration=McConfig(reps=100_000, master_seed=0))
+        test = truncated_score_test(model, 0.05)
         assert test.consumes == "observations"
         value = test.evaluate(np.zeros((10, 2)))
         assert value in (0.0, 1.0)
@@ -395,7 +408,7 @@ class TestSpecGrammar:
         assert make_test("spike:i=3", 100, 10).name == "spike(i=3)"
         assert make_test("supnorm", 100, 10).name == "supnorm"
         assert make_test("one", 100, 10).name == "one"
-        assert make_test("halfspace:alpha=0.1,seed=7", 100, 10).calibration_seed == 7
+        assert make_test("halfspace:alpha=0.1,seed=7", 100, 10).name == "halfspace(alpha=0.1,seed=7)"
 
     def test_enhance_composition(self):
         test = make_test("enhance(chi2:alpha=0.05,supnorm)", 100, 10)
@@ -414,8 +427,9 @@ class TestSpecGrammar:
             make_test("bonferroni", 100, 10)
 
     def test_unknown_option(self):
-        with pytest.raises(SpecError):
-            make_test("chi2:beta=0.05", 100, 10)
+        for spec in ("chi2:beta=0.05", "tscore:cal_seed=0", "tscore:cal_reps=10"):
+            with pytest.raises(SpecError):
+                make_test(spec, 100, 10)
 
     def test_malformed_enhance(self):
         with pytest.raises(SpecError):
