@@ -277,12 +277,7 @@ def _lan_check(args: argparse.Namespace):
     except ValueError as exc:
         raise SpecError(f"bad local parameter {args.h!r}: expected comma-separated floats") from exc
     d = h.shape[0]
-    factories = {
-        "gaussian": lambda n: GaussianLocationModel(n=n, d=d),
-        "scaled": lambda n: ScaledGaussianModel(n=n, d=d),
-        "regression": lambda n: FixedDesignRegression.default_design(n=n, d=d),
-    }
-    rows = lan_remainder_check(factories[args.model], h, _parse_grid(args.n_grid), mc)
+    rows = lan_remainder_check(lambda n: _build_model(args.model, n, d), h, _parse_grid(args.n_grid), mc)
     payload = {"model": args.model, "h": [float(v) for v in h], "rows": rows,
                "reps": mc.reps, "seed": mc.master_seed}
     return payload, rows, ["n", "d", "remainder_p95", "remainder_max"]

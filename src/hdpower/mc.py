@@ -185,33 +185,24 @@ def estimate_rejection_probs(
     if len(kinds) > 1:
         raise DomainError(f"tests sharing draws must consume one input kind, got {sorted(kinds)}")
     kind = kinds.pop()
+    for test in tests:
+        if test.dim != model.d:
+            raise DomainError(f"test dimension {test.dim} does not match model dimension {model.d}")
     if kind == "statistic":
-        width = model.statistic_dim
-        for test in tests:
-            if test.dim != width:
-                raise DomainError(
-                    f"test consumes statistics of dimension {test.dim}, "
-                    f"model produces dimension {width}"
-                )
         coordinates = {test.coordinate for test in tests}
         coordinate = coordinates.pop() if len(coordinates) == 1 else None
         if coordinate is None:
-            elems, sample = width, model.sample_statistic
+            elems, sample = model.d, model.sample_statistic
         else:
             elems = 1
 
             def sample(theta, rng: np.random.Generator, m: int) -> np.ndarray:
                 column = model.sample_statistic(theta, rng, m, coordinate=coordinate)
-                return np.broadcast_to(column, (m, width))
+                return np.broadcast_to(column, (m, model.d))
 
     elif kind == "observations":
         if not hasattr(model, "sample_observations"):
             raise DomainError(f"model {model!r} does not expose per-observation sampling")
-        for test in tests:
-            if test.dim != model.d:
-                raise DomainError(
-                    f"test consumes observations of dimension {test.dim}, model has dimension {model.d}"
-                )
         elems = model.n * model.d
         sample = model.sample_observations
     else:

@@ -156,30 +156,21 @@ def _spike_scan(
     d = model.d
     n = model.n
     mag = spike_magnitude(n, d)
+    if test.dim != d:
+        raise DomainError(f"test dimension {test.dim} does not match model dimension {d}")
     if test.consumes == "statistic":
-        if test.dim != model.statistic_dim:
-            raise DomainError(
-                f"test dimension {test.dim} does not match statistic dimension {model.statistic_dim}"
-            )
-        elems = d
-        shift = math.sqrt(n) * mag
-        shape = lambda m: (m, d)  # noqa: E731
-        column = lambda z, i: z[:, i]  # noqa: E731
+        shape, shift = (d,), math.sqrt(n) * mag
     elif test.consumes == "observations":
-        if test.dim != d:
-            raise DomainError(f"test dimension {test.dim} does not match model dimension {d}")
-        elems = n * d
-        shift = mag
-        shape = lambda m: (m, n, d)  # noqa: E731
-        column = lambda x, i: x[:, :, i]  # noqa: E731
+        shape, shift = (n, d), mag
     else:
         raise DomainError(f"unknown test input kind {test.consumes!r}")
+    elems = math.prod(shape)
 
     def loop_columns(draws: np.ndarray):
         def cols(lo: int, hi: int) -> np.ndarray:
             out = np.empty((len(draws), hi - lo))
             for j in range(hi - lo):
-                col = column(draws, lo + j)
+                col = draws[..., lo + j]
                 saved = col.copy()
                 col += shift
                 out[:, j] = test.evaluate_batch(draws)
@@ -194,7 +185,7 @@ def _spike_scan(
         coord_sum = np.zeros(d)
         coord_sumsq = np.zeros(d)
         for r_lo, r_hi in row_chunks(m, elems):
-            draws = rng.standard_normal(shape(r_hi - r_lo))
+            draws = rng.standard_normal((r_hi - r_lo, *shape))
             null_vals[r_lo:r_hi] = test.evaluate_batch(draws)
             cols = test.spike_columns(draws, shift) if test.consumes == "statistic" else None
             if cols is None:

@@ -1,18 +1,19 @@
 """Statistical experiments reduced to sufficient-statistic samplers.
 
-Three models share one informal protocol: ``statistic_dim``, ``contains`` /
+Three models share one informal protocol: ``contains`` /
 ``require_member``, ``sample_statistic(theta, rng, size, coordinate=None)``,
 ``central_sequence``, ``information_matrix`` and ``log_likelihood_ratio``.
-All are immutable after construction and sampling takes an explicit
-generator, so concurrent sampling is safe whenever each worker owns its own
-stream.
+Every model's statistic is d-dimensional. All are immutable after
+construction and sampling takes an explicit generator, so concurrent
+sampling is safe whenever each worker owns its own stream.
 
-``sample_statistic`` draws all ``statistic_dim`` coordinates, shape
-(size, statistic_dim), or with a 0-based ``coordinate`` only that one,
-shape (size, 1). The statistic coordinates are independent in all three
-models, so the column has the law of that coordinate of a full draw (it is
-a different draw from the same generator). ``theta`` is checked in full
-either way.
+``sample_statistic`` draws all d coordinates, shape (size, d), or with a
+0-based ``coordinate`` only that one, shape (size, 1). The column has that
+coordinate's marginal law (it is a different draw from the same generator),
+which is all a test that reads one coordinate needs; the coordinates of a
+full draw are independent except in a regression with a non-orthogonal
+design. A row's value depends only on the normals drawn for it, never on how
+many rows are drawn together. ``theta`` is checked in full either way.
 
 - GaussianLocationModel: n i.i.d. N_d(theta, I_d) observations, sufficient
   statistic Z = n^{-1/2} * sum(X_i) ~ N_d(sqrt(n) theta, I_d). Also exposes
@@ -21,8 +22,10 @@ either way.
   open cube (-1, 1)^d as parameter space; the sufficient statistic (the
   sample mean ~ N_d(theta, (d^3/n) I_d)) is sampled directly since the law
   is exact and costs O(d) per draw.
-- FixedDesignRegression: y = X theta + noise with known noise scale; the
-  "statistic" is the full response vector.
+- FixedDesignRegression: y = X theta + noise with known noise scale. The
+  likelihood depends on y only through X'y, so the statistic is the scaled
+  OLS estimate sqrt(n) theta_hat ~ N_d(sqrt(n) theta, noise_sd^2 (X'X/n)^{-1}),
+  d normals per draw through a d x d factor computed once per model.
 """
 
 from __future__ import annotations
@@ -141,10 +144,8 @@ class _ModelBase:
         """Every statistic coordinate, or only the 0-based ``coordinate``."""
         if coordinate is None:
             return slice(None)
-        if not 0 <= coordinate < self.statistic_dim:
-            raise DomainError(
-                f"statistic coordinate must be in [0, {self.statistic_dim}), got {coordinate!r}"
-            )
+        if not 0 <= coordinate < self.d:
+            raise DomainError(f"statistic coordinate must be in [0, {self.d}), got {coordinate!r}")
         return slice(coordinate, coordinate + 1)
 
 
@@ -158,10 +159,6 @@ class GaussianLocationModel(_ModelBase):
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1:
             raise DomainError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
-
-    @property
-    def statistic_dim(self) -> int:
-        return self.d
 
     def contains(self, theta) -> bool:
         arr = as_theta(theta, self.d)
@@ -221,10 +218,6 @@ class ScaledGaussianModel(_ModelBase):
             raise DomainError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
 
     @property
-    def statistic_dim(self) -> int:
-        return self.d
-
-    @property
     def statistic_sd(self) -> float:
         """Per-coordinate standard deviation of the mean statistic."""
         return math.sqrt(self.d**3 / self.n)
@@ -265,9 +258,10 @@ class ScaledGaussianModel(_ModelBase):
 
 @dataclass(frozen=True)
 class FixedDesignRegression(_ModelBase):
-    """Gaussian linear regression with a fixed design and known noise scale.
+    """Gaussian linear regression y = X theta + noise_sd * u with a fixed
+    design and known noise scale.
 
-    The statistic is the full response vector y = X theta + noise_sd * u.
+    The statistic is z = sqrt(n) (X'X)^{-1} X'y, the scaled OLS estimate.
     """
 
     n: int
@@ -310,13 +304,15 @@ class FixedDesignRegression(_ModelBase):
         q = q * signs
         return cls(n=n, d=d, design=math.sqrt(n) * q, noise_sd=noise_sd)
 
-    @property
-    def statistic_dim(self) -> int:
-        return self.n
-
     @cached_property
     def gram(self) -> np.ndarray:
         return self.design.T @ self.design
+
+    @cached_property
+    def _factor(self) -> np.ndarray:
+        """Lower Cholesky factor L of the statistic's covariance
+        noise_sd^2 (X'X/n)^{-1} = L L'."""
+        return np.linalg.cholesky(self.n * self.noise_sd**2 * np.linalg.inv(self.gram))
 
     def contains(self, theta) -> bool:
         arr = as_theta(theta, self.d)
@@ -328,13 +324,19 @@ class FixedDesignRegression(_ModelBase):
     def sample_statistic(
         self, theta, rng: np.random.Generator, size: int = 1, coordinate: int | None = None
     ) -> np.ndarray:
-        """Response draws y = X theta + noise, shape (size, n), or of the one
-        response ``coordinate``, shape (size, 1)."""
-        mean = (self.design @ self.require_member(theta))[self._columns(coordinate)]
-        y = self.noise_sd * rng.standard_normal((size, mean.shape[0]))
-        if np.any(mean != 0.0):
-            y += mean
-        return y
+        """Draws of z = sqrt(n) theta + L u with u ~ N_d(0, I_d), shape
+        (size, d), or of its one ``coordinate``, shape (size, 1).
+
+        The product runs through einsum rather than a BLAS matrix product,
+        whose rounding can depend on how many rows it multiplies at once."""
+        shift = math.sqrt(self.n) * self.require_member(theta)[self._columns(coordinate)]
+        if coordinate is None:
+            z = np.einsum("ij,kj->ik", rng.standard_normal((size, self.d)), self._factor)
+        else:  # coordinate k has standard deviation ||row k of L||
+            z = float(np.linalg.norm(self._factor[coordinate])) * rng.standard_normal((size, 1))
+        if np.any(shift != 0.0):
+            z += shift
+        return z
 
     def ols_estimate(self, y: np.ndarray) -> np.ndarray:
         """(X'X)^{-1} X'y for a single response vector or a batch of them."""
@@ -346,25 +348,24 @@ class FixedDesignRegression(_ModelBase):
         coef = np.linalg.solve(self.gram, self.design.T @ arr.T).T
         return coef[0] if single else coef
 
-    def central_sequence(self, y: np.ndarray) -> np.ndarray:
-        """Score at the null: Z = n^{-1/2} X'y / noise_sd^2."""
-        arr = np.asarray(y, dtype=float)
-        single = arr.ndim == 1
-        arr = np.atleast_2d(arr)
-        z = (arr @ self.design) / (math.sqrt(self.n) * self.noise_sd**2)
-        return z[0] if single else z
+    def central_sequence(self, stats: np.ndarray) -> np.ndarray:
+        """Score at the null: n^{-1/2} X'y / noise_sd^2 = (X'X/n) z / noise_sd^2."""
+        z = np.asarray(stats, dtype=float)
+        return z @ self.gram / (self.n * self.noise_sd**2)
 
     def information_matrix(self) -> np.ndarray:
         return self.gram / (self.n * self.noise_sd**2)
 
-    def log_likelihood_ratio(self, y: np.ndarray, theta) -> np.ndarray:
-        """Computed from X'y and the Gram matrix, avoiding the cancellation-prone
-        ||y||^2 - ||y - X theta||^2 form."""
-        arr = self.require_member(theta)
-        resp = np.atleast_2d(np.asarray(y, dtype=float))
-        sigma2 = self.noise_sd**2
-        out = (resp @ (self.design @ arr)) / sigma2 - 0.5 * float(arr @ self.gram @ arr) / sigma2
-        return out if np.asarray(y).ndim > 1 else out[0]
+    def log_likelihood_ratio(self, stats: np.ndarray, theta) -> np.ndarray:
+        """Log density ratio of the statistic's laws N_d(sqrt(n) theta, L L') and
+        N_d(0, L L'), computed on the whitened w = L^{-1} z and v = L^{-1}
+        sqrt(n) theta as w'v - v'v / 2 (the cancellation-prone
+        ||w||^2 - ||w - v||^2 form is avoided). It uses the sampling factor,
+        not the Gram matrix of ``central_sequence``."""
+        v = np.linalg.solve(self._factor, math.sqrt(self.n) * self.require_member(theta))
+        z = np.atleast_2d(np.asarray(stats, dtype=float))
+        out = np.linalg.solve(self._factor, z.T).T @ v - 0.5 * float(v @ v)
+        return out if np.asarray(stats).ndim > 1 else out[0]
 
 
 Model = GaussianLocationModel | ScaledGaussianModel | FixedDesignRegression

@@ -14,7 +14,7 @@ composition is parsed here as well (see ``make_test``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -386,20 +386,18 @@ def truncated_score_test(
 
 
 def wald_test(model: FixedDesignRegression, C: float) -> TestFunction:
-    """Reject when sqrt(n) * ||OLS estimate|| >= C; C = 0 gives the constant
-    test 1. With the orthonormal default design and unit noise the scaled
-    estimator is exactly N_d(sqrt(n) theta, I_d), so size and power reduce to
-    noncentral chi-square closed forms."""
+    """Reject when ||z|| >= C for the model's statistic z = sqrt(n) * OLS
+    estimate; C = 0 gives the constant test 1. With the orthonormal default
+    design and unit noise z is N_d(sqrt(n) theta, I_d), so size and power
+    reduce to noncentral chi-square closed forms."""
     C = float(C)
     if C < 0.0:
         raise DomainError(f"wald threshold must be >= 0, got {C!r}")
-    root_n = math.sqrt(model.n)
 
-    def batch(y: np.ndarray) -> np.ndarray:
-        coef = model.ols_estimate(y)
-        return (root_n * np.linalg.norm(coef, axis=1) >= C).astype(float)
+    def batch(z: np.ndarray) -> np.ndarray:
+        return (np.linalg.norm(z, axis=1) >= C).astype(float)
 
-    return TestFunction(name=f"wald(C={C:g})", dim=model.n, batch=batch)
+    return TestFunction(name=f"wald(C={C:g})", dim=model.d, batch=batch)
 
 
 def wald_test_at_level(model: FixedDesignRegression, alpha: float) -> TestFunction:
@@ -407,12 +405,7 @@ def wald_test_at_level(model: FixedDesignRegression, alpha: float) -> TestFuncti
     under the orthonormal default design with unit noise."""
     alpha = _check_alpha(alpha)
     test = wald_test(model, math.sqrt(chi2_quantile(model.d, 1.0 - alpha)))
-    return TestFunction(
-        name=f"wald(alpha={alpha:g})",
-        dim=test.dim,
-        batch=test.batch,
-        level=alpha,
-    )
+    return replace(test, name=f"wald(alpha={alpha:g})", level=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,7 @@ class TestRowChunks:
         if tests[0].consumes == "observations":
             elems = model.n * model.d
         else:
-            elems = 1 if tests[0].coordinate is not None else model.statistic_dim
+            elems = 1 if tests[0].coordinate is not None else model.d
         mc = McConfig(reps=reps, master_seed=17, workers=workers)
         results = []
         # three rows per chunk leaves a one-row tail in a 4096-row block;

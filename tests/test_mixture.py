@@ -13,10 +13,12 @@ from hdpower import (
     DomainError,
     GaussianLocationModel,
     McConfig,
+    RegimeSpec,
     average_spike_power,
     chi2_euclidean_test,
     constant_test,
     enhance,
+    enhanceability_demo,
     find_blind_spot,
     halfspace_test,
     mixture_diagnostics,
@@ -33,6 +35,17 @@ from hdpower import mc as mc_module
 from hdpower import testfuncs
 from hdpower.mixture import MixtureDiagnostics, _spike_scan
 from test_harness import CountingGenerator, _traced_peak
+
+
+class ShrunkMinimum:
+    """numpy, except that minimum undercuts its first argument."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def minimum(a, b):
+        return np.minimum(a, b) - 0.5
 
 
 class TestMixtureLikelihoodRatio:
@@ -361,16 +374,6 @@ class TestSpikeKernelScan:
         assert pooled.mean == 1.0
 
     def test_enhance_kernel_checks_dominance(self, monkeypatch):
-        class ShrunkMinimum:
-            """numpy, except that minimum undercuts its first argument."""
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def minimum(a, b):
-                return np.minimum(a, b) - 0.5
-
         d = 8
         psi = enhance(chi2_euclidean_test(100, d, 0.05), sup_norm_test(100, d))
         z = substream(0, "dominance").standard_normal((16, d))
@@ -380,6 +383,13 @@ class TestSpikeKernelScan:
         cols = psi.spike_columns(z, 2.0)
         with pytest.raises(DomainError, match="dominance"):
             cols(0, d)
+
+    def test_demo_never_reports_violated_dominance(self, monkeypatch):
+        # the demo's pointwise_dominance check rests on enhance() raising
+        regime = RegimeSpec("linear", (16, 32))
+        monkeypatch.setattr(testfuncs, "np", ShrunkMinimum())
+        with pytest.raises(DomainError, match="dominance"):
+            enhanceability_demo("chi2:alpha=0.05", regime, McConfig(reps=1_000, master_seed=26))
 
 
 def _pulled_back(n, d):

@@ -27,6 +27,13 @@ def rng():
     return substream(0, "model-tests")
 
 
+def _skewed_regression(n, d, noise_sd=1.0):
+    """Regression on a seeded design whose columns share a common factor, so
+    X'X is far from diagonal."""
+    raw = substream(0, "skewed-design").standard_normal((n, d))
+    return FixedDesignRegression(n=n, d=d, design=raw + raw[:, :1], noise_sd=noise_sd)
+
+
 class TestGaussianLocation:
     def test_null_mean(self, rng):
         model = GaussianLocationModel(n=4, d=2)
@@ -143,27 +150,44 @@ class TestFixedDesignRegressionModel:
         assert np.allclose(model.ols_estimate(y), model.design.T @ y / 20, atol=1e-12)
 
     def test_ols_sampling_covariance(self, rng):
-        model = FixedDesignRegression.default_design(n=40, d=3)
-        y = model.sample_statistic(np.zeros(3), rng, 100_000)
-        coef = model.ols_estimate(y)
-        target = np.diag(np.linalg.inv(model.gram))  # sigma^2 diag((X'X)^{-1})
-        assert np.all(np.abs(coef.var(axis=0) / target - 1.0) < 0.05)
+        model = _skewed_regression(n=40, d=3, noise_sd=0.5)
+        theta = np.array([0.3, -0.2, 0.1])
+        z = model.sample_statistic(theta, rng, 100_000)
+        target = 0.25 * np.linalg.inv(model.gram / 40)  # sigma^2 (X'X/n)^{-1}
+        scale = np.sqrt(np.outer(np.diag(target), np.diag(target)))
+        assert np.all(np.abs(np.cov(z.T) - target) < 0.05 * scale)
+        # each coordinate has the law of sqrt(n) times the OLS estimate of a response
+        y = model.design @ theta + 0.5 * rng.standard_normal((100_000, 40))
+        coef = math.sqrt(40) * model.ols_estimate(y)
+        for j in range(3):
+            assert stats.ks_2samp(z[:, j], coef[:, j]).pvalue > KS_LEVEL
 
     def test_central_sequence_null_law(self, rng):
         model = FixedDesignRegression.default_design(n=60, d=3)
-        y = model.sample_statistic(np.zeros(3), rng, 100_000)
-        z = model.central_sequence(y)
+        z = model.central_sequence(model.sample_statistic(np.zeros(3), rng, 100_000))
         cov = np.cov(z.T)
         assert np.abs(cov - np.eye(3)).max() < 0.05
-        assert np.allclose(model.central_sequence(np.zeros(60)), np.zeros(3))
+        assert np.allclose(model.central_sequence(np.zeros(3)), np.zeros(3))
 
     def test_central_sequence_local_shift(self, rng):
         model = FixedDesignRegression.default_design(n=60, d=2)
         h = np.array([1.0, -0.5])
-        y = model.sample_statistic(h / math.sqrt(60), rng, 100_000)
-        z = model.central_sequence(y)
+        z = model.central_sequence(model.sample_statistic(h / math.sqrt(60), rng, 100_000))
         target = model.gram / 60 @ h  # Q_d h at sigma = 1
         assert np.all(np.abs(z.mean(axis=0) - target) < 3.0 / math.sqrt(100_000))
+
+    def test_statistic_carries_the_response_likelihood(self, rng):
+        # on z = sqrt(n) * OLS estimate, the score and the log-likelihood
+        # ratio equal their response forms n^{-1/2} X'y / sigma^2 and
+        # (theta'X'y - theta'X'X theta / 2) / sigma^2
+        model = _skewed_regression(n=30, d=4, noise_sd=0.5)
+        theta = np.array([0.2, -0.1, 0.0, 0.3])
+        y = model.design @ theta + 0.5 * rng.standard_normal((50, 30))
+        z = math.sqrt(30) * model.ols_estimate(y)
+        np.testing.assert_allclose(model.central_sequence(z), y @ model.design / (math.sqrt(30) * 0.25),
+                                   rtol=1e-9, atol=1e-9)
+        loglr = (y @ (model.design @ theta) - 0.5 * theta @ model.gram @ theta) / 0.25
+        np.testing.assert_allclose(model.log_likelihood_ratio(z, theta), loglr, rtol=1e-9, atol=1e-9)
 
     def test_information_matrix(self):
         model = FixedDesignRegression.default_design(n=25, d=2)
@@ -186,7 +210,7 @@ class TestCoordinateSampling:
     MODELS = {
         "gaussian": (GaussianLocationModel(n=100, d=5), [0.0, 0.0, 0.3, -0.1, 0.0]),
         "scaled": (ScaledGaussianModel(n=100, d=5), [0.0, 0.0, 0.3, -0.1, 0.0]),
-        "regression": (FixedDesignRegression.default_design(n=6, d=2, noise_sd=0.5), [0.3, -0.1]),
+        "regression": (_skewed_regression(n=6, d=3, noise_sd=0.5), [0.3, -0.1, 0.2]),
     }
 
     @staticmethod
@@ -197,7 +221,8 @@ class TestCoordinateSampling:
             return math.sqrt(model.n) * theta[k], 1.0
         if isinstance(model, ScaledGaussianModel):
             return theta[k], model.statistic_sd
-        return float(model.design[k] @ theta), model.noise_sd
+        cov = model.noise_sd**2 * np.linalg.inv(model.gram / model.n)
+        return math.sqrt(model.n) * theta[k], math.sqrt(cov[k, k])
 
     @pytest.mark.parametrize("kind", sorted(MODELS))
     def test_column_is_that_coordinate_from_the_same_stream(self, kind):
@@ -220,7 +245,7 @@ class TestCoordinateSampling:
     @pytest.mark.parametrize("kind", sorted(MODELS))
     def test_coordinate_out_of_range(self, kind, rng):
         model, theta = self.MODELS[kind]
-        for k in (-1, model.statistic_dim):
+        for k in (-1, model.d):
             with pytest.raises(DomainError, match="coordinate"):
                 model.sample_statistic(theta, rng, 10, coordinate=k)
 
@@ -228,6 +253,29 @@ class TestCoordinateSampling:
         model = ScaledGaussianModel(n=10, d=3)
         with pytest.raises(ParameterError, match=r"theta\[2\]"):
             model.sample_statistic([0.0, 0.5, 1.0], rng, 10, coordinate=0)
+
+
+class TestRowGrouping:
+    """A sampler's rows do not depend on how many of them are drawn together,
+    which the engine's row chunks rely on."""
+
+    SAMPLERS = {
+        "gaussian": (GaussianLocationModel(n=100, d=50), "sample_statistic"),
+        "scaled": (ScaledGaussianModel(n=100, d=50), "sample_statistic"),
+        "regression-default": (FixedDesignRegression.default_design(n=200, d=50), "sample_statistic"),
+        "regression-skewed": (_skewed_regression(n=200, d=50, noise_sd=0.5), "sample_statistic"),
+        "observations": (GaussianLocationModel(n=7, d=5), "sample_observations"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLERS))
+    def test_rows_drawn_in_groups_equal_one_draw(self, kind):
+        model, method = self.SAMPLERS[kind]
+        sample = getattr(model, method)
+        theta = np.linspace(-0.5, 0.5, model.d)
+        whole = sample(theta, substream(3, "row-grouping"), 12)
+        rng = substream(3, "row-grouping")
+        grouped = np.concatenate([sample(theta, rng, m) for m in (1, 3, 8)])
+        assert np.array_equal(whole, grouped)
 
 
 class TestEmbedding:
