@@ -2,6 +2,7 @@
 string spec grammar."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -315,6 +316,94 @@ class TestRangeInvariant:
         z[:50] = 1e8
         vals = wald.evaluate_batch(z)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+def _bisect(value, lo: float, hi: float) -> tuple[float, float] | None:
+    """Adjacent floats lo, hi with value(lo) != value(hi), or None when the
+    ends already agree."""
+    v_lo = value(lo)
+    if value(hi) == v_lo:
+        return None
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if value(mid) == v_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _boundary_rows(test: testfuncs.TestFunction, count: int, seed: int) -> np.ndarray:
+    """Rows that sit on the test's rejection boundary as it evaluates all of
+    them at once, alternately just outside and just inside it. Each drawn row
+    is scaled, then its largest coordinate moved, by bisection to adjacent
+    floats across the boundary; a row the test does not flip that way stays."""
+    rows = substream(seed, "boundary-rows").standard_normal((count, test.dim))
+
+    def value_at(k: int, row_of):
+        def value(x: float) -> float:
+            rows[k] = row_of(x)
+            return test.batch(rows)[k]
+
+        return value
+
+    for k in range(count):
+        drawn = rows[k].copy()
+        scale = value_at(k, lambda c: c * drawn)
+        found = _bisect(scale, 0.0, 1e6) or _bisect(scale, 0.0, -1e6)
+        if found is None:
+            rows[k] = drawn
+            continue
+        base = found[0] * drawn
+        j = int(np.argmax(np.abs(base)))
+        step = abs(base[j])
+
+        def moved(t: float) -> np.ndarray:
+            row = base.copy()
+            row[j] += t
+            return row
+
+        move = value_at(k, moved)
+        fine = _bisect(move, 0.0, step) or _bisect(move, 0.0, -step)
+        rows[k] = moved(fine[k % 2]) if fine else found[k % 2] * drawn
+    return rows
+
+
+class TestRowGrouping:
+    """A built-in statistic test's values do not depend on how many rows it
+    evaluates at once, even for statistics that land on its threshold."""
+
+    SPECS = (
+        "chi2",
+        "spike:i=3",
+        "supnorm",
+        "halfspace:seed=7",
+        "one",
+        "enhance(chi2,supnorm)",
+        "enhance(halfspace:seed=7,spike:i=3)",
+        "wald",
+    )
+
+    @staticmethod
+    def _build(spec: str, d: int) -> testfuncs.TestFunction:
+        if spec == "wald":
+            # the Wald test reads only the model's dimension
+            return wald_test_at_level(SimpleNamespace(d=d), 0.05)
+        return make_test(spec, 256, d)
+
+    @pytest.mark.parametrize("d", [256, 2981])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_grouped_rows_equal_one_batch(self, spec, d):
+        test = self._build(spec, d)
+        z = _boundary_rows(test, 12, seed=d)
+        groups = (slice(0, 1), slice(1, 4), slice(4, 12))
+        grouped = np.concatenate([test.batch(z[g]) for g in groups])
+        assert np.array_equal(test.batch(z), grouped)
+        if test.spike_kernel is None:
+            return
+        for shift in (0.0, 0.75):
+            whole = test.spike_columns(z, shift)(0, d)
+            grouped = np.concatenate([test.spike_columns(z[g], shift)(0, d) for g in groups])
+            assert np.array_equal(whole, grouped)
 
 
 class TestTruncatedScore:
