@@ -280,9 +280,11 @@ class FixedDesignRegression(_ModelBase):
         if self.noise_sd <= 0.0:
             raise DomainError(f"noise_sd must be > 0, got {self.noise_sd!r}")
         object.__setattr__(self, "design", x)
-        gram_scaled = x.T @ x / self.n
-        cond = np.linalg.cond(gram_scaled)
-        if not np.isfinite(cond) or cond > _MAX_DESIGN_COND:
+        # X'X/n is symmetric, so its condition number is the ratio of its
+        # extreme eigenvalues; eigvalsh finds them without a full SVD
+        eig = np.linalg.eigvalsh(x.T @ x / self.n)
+        cond = eig[-1] / eig[0] if eig[0] > 0.0 else np.inf
+        if not cond <= _MAX_DESIGN_COND:
             raise DomainError(f"design is rank deficient or ill conditioned (cond={cond:.3g})")
 
     @classmethod

@@ -1,10 +1,13 @@
 """Deterministic random-stream derivation for parallel Monte Carlo.
 
-Every stream is a Philox counter-based generator keyed by
-(master seed, operation tag, *indices). The same key always produces the
+Every stream is an SFC64 generator seeded from a ``SeedSequence`` over the
+key (master seed, operation tag, *indices). The same key always produces the
 same stream, no matter how many workers are running or in what order blocks
 execute, so replication results depend only on the master seed and the
-logical layout of the computation.
+logical layout of the computation. The key, not the bit generator, keeps
+streams apart, so the engine uses numpy's cheapest one per normal: SFC64
+draws a standard normal in about two thirds of the time of the counter-based
+generator it replaced, which was seeded from the same keys.
 """
 
 from __future__ import annotations
@@ -33,4 +36,4 @@ def substream(master_seed: int, tag: str, *indices: int) -> np.random.Generator:
     entropy = [master_seed, tag_to_int(tag)]
     entropy.extend(int(i) & _MASK64 for i in indices)
     seq = np.random.SeedSequence(entropy)
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))

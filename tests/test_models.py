@@ -198,6 +198,26 @@ class TestFixedDesignRegressionModel:
         with pytest.raises(DomainError):
             FixedDesignRegression(n=10, d=2, design=bad)
 
+    @staticmethod
+    def _design_with_cond(cond):
+        # X = sqrt(n) U diag(1, cond^{-1/2}) V' gives X'X/n = V diag(1, 1/cond) V'
+        n = 3
+        u = np.linalg.qr(np.array([[1.0, 2.0], [0.5, -1.0], [2.0, 0.25]]))[0]
+        c, s = math.cos(0.3), math.sin(0.3)
+        v = np.array([[c, -s], [s, c]])
+        design = math.sqrt(n) * u @ np.diag([1.0, cond**-0.5]) @ v.T
+        assert np.linalg.cond(design.T @ design / n) == pytest.approx(cond, rel=1e-8)
+        return n, design
+
+    def test_condition_just_over_limit_rejected(self):
+        n, design = self._design_with_cond(1e6 * (1.0 + 1e-6))
+        with pytest.raises(DomainError, match=r"ill conditioned \(cond=1e\+06\)"):
+            FixedDesignRegression(n=n, d=2, design=design)
+
+    def test_condition_just_under_limit_builds(self):
+        n, design = self._design_with_cond(1e6 * (1.0 - 1e-6))
+        assert FixedDesignRegression(n=n, d=2, design=design).d == 2
+
     def test_wrong_response_length(self):
         model = FixedDesignRegression.default_design(n=10, d=2)
         with pytest.raises(DomainError):
