@@ -334,9 +334,10 @@ def _bisect(value, lo: float, hi: float) -> tuple[float, float] | None:
 
 def _boundary_rows(test: testfuncs.TestFunction, count: int, seed: int) -> np.ndarray:
     """Rows that sit on the test's rejection boundary as it evaluates all of
-    them at once, alternately just outside and just inside it. Each drawn row
-    is scaled, then its largest coordinate moved, by bisection to adjacent
-    floats across the boundary; a row the test does not flip that way stays."""
+    them at once, alternately on its accepting and its rejecting side. Each
+    drawn row is scaled, then its largest coordinate moved, by bisection to
+    adjacent floats across the boundary; a row the test does not flip that
+    way stays."""
     rows = substream(seed, "boundary-rows").standard_normal((count, test.dim))
 
     def value_at(k: int, row_of):
