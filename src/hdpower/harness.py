@@ -153,6 +153,19 @@ def rows_to_csv(rows: list[dict[str, Any]], columns) -> str:
     return buf.getvalue()
 
 
+def _enhanced_at_blind_spot(test_spec: str, n: int, d: int, mc: McConfig):
+    """(model, test, blind-spot report, spike z-test, enhanced test) at (n, d)
+    on the Gaussian location model. The spike z-test reads the statistic, so
+    a test of raw observations is refused before the costly scan."""
+    model = GaussianLocationModel(n=n, d=d)
+    phi = make_test(test_spec, n, d, model=model)
+    if phi.consumes != "statistic":
+        raise DomainError("cannot combine tests consuming different inputs")
+    report = find_blind_spot(phi, model, mc)
+    nu = spike_z_test(n, d, report.coordinate)
+    return model, phi, report, nu, enhance(phi, nu)
+
+
 def run_regime(
     regime: RegimeSpec,
     test_spec: str,
@@ -176,11 +189,7 @@ def run_regime(
         if model_kind == "gaussian":
             if theta is not None:
                 raise SpecError("the Gaussian regime evaluates power at the found blind spot; --theta applies to the regression regime")
-            model = GaussianLocationModel(n=n, d=d)
-            test = make_test(test_spec, n, d, model=model)
-            report = find_blind_spot(test, model, mc)
-            nu = spike_z_test(n, d, report.coordinate)
-            psi = enhance(test, nu)
+            model, test, report, _, psi = _enhanced_at_blind_spot(test_spec, n, d, mc)
             enhanced = estimate_rejection_prob(
                 psi, model, report.spike.theta, mc, tag=f"enhanced-power:n={n}"
             )
@@ -412,11 +421,7 @@ def enhanceability_demo(test_spec: str, regime: RegimeSpec, mc: McConfig) -> dic
 
     n = regime.n_grid[-1]
     d = regime.d_of(n)
-    model = GaussianLocationModel(n=n, d=d)
-    phi = make_test(test_spec, n, d, model=model)
-    report = find_blind_spot(phi, model, mc)
-    nu = spike_z_test(n, d, report.coordinate)
-    psi = enhance(phi, nu)
+    model, phi, report, nu, psi = _enhanced_at_blind_spot(test_spec, n, d, mc)
 
     # common random numbers across the three tests: the pointwise relations
     # psi >= phi, psi >= nu, psi <= phi + nu then hold in the estimates too

@@ -5,12 +5,17 @@ operation draws from the substream keyed by (master_seed, tag, b) and block
 results are reduced in block order. Both facts together make every estimate
 bit-identical for any worker count. ``map_blocks`` is the one place that
 applies this rule; every sampling loop in the package goes through it.
+
+Every estimate, the spike scan's too, takes one reduction path: ``block_sums``
+gives a block's per-row (sum, sum of squares), ``summarize`` merges them with
+``math.fsum`` in block order, and ``mean_se`` is the one mean and
+standard-error formula, for scalars and arrays alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -64,11 +69,11 @@ class PowerEstimate:
             raise DomainError(f"standard error must be >= 0, got {self.se!r}")
 
     def to_dict(self) -> dict[str, Any]:
-        return {"mean": self.mean, "se": self.se, "reps": self.reps, "seed": self.seed}
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "PowerEstimate":
-        return cls(mean=d["mean"], se=d["se"], reps=d["reps"], seed=d["seed"])
+    def from_dict(cls, data: dict[str, Any]) -> "PowerEstimate":
+        return cls(**data)
 
 
 def block_layout(reps: int, elems_per_rep: int = 1) -> list[tuple[int, int]]:
@@ -143,15 +148,30 @@ def map_blocks(
     return run_blocks(work, block_layout(mc.reps, elems_per_rep), workers)
 
 
-def summarize(count: int, total: float, total_sq: float, seed: int) -> PowerEstimate:
-    """Mean and sample-variance standard error from merged block sums."""
+def mean_se(count: int, total, total_sq):
+    """Mean and sample-variance standard error of ``count`` values from their
+    sum and sum of squares; on arrays of sums, the scalar results' bits."""
     mean = total / count
-    if count > 1:
-        var = max(0.0, (total_sq - total * total / count) / (count - 1))
-        se = math.sqrt(var / count)
-    else:
-        se = 0.0
-    return PowerEstimate(mean=float(np.clip(mean, 0.0, 1.0)), se=se, reps=count, seed=seed)
+    if count == 1:  # one value has no sample variance
+        return mean, 0.0 * mean
+    var = np.maximum(0.0, (total_sq - total * total / count) / (count - 1))
+    return mean, np.sqrt(var / count)
+
+
+def block_sums(rows) -> list[tuple[float, float]]:
+    """(sum, sum of squares) of each row of a block's values."""
+    return [(float(v.sum()), float((v * v).sum())) for v in rows]
+
+
+def summarize(count: int, parts: list[list[tuple[float, float]]], seed: int) -> list[PowerEstimate]:
+    """One estimate per row from every block's ``block_sums`` (``parts``, in
+    block order), the blocks' sums added by ``math.fsum`` in that order."""
+    out = []
+    for row in zip(*parts):
+        sums, sums_sq = zip(*row)
+        mean, se = mean_se(count, math.fsum(sums), math.fsum(sums_sq))
+        out.append(PowerEstimate(mean=float(np.clip(mean, 0.0, 1.0)), se=float(se), reps=count, seed=seed))
+    return out
 
 
 def estimate_rejection_probs(
@@ -200,13 +220,11 @@ def estimate_rejection_probs(
                 column = model.sample_statistic(theta, rng, m, coordinate=coordinate)
                 return np.broadcast_to(column, (m, model.d))
 
-    elif kind == "observations":
+    else:
         if not hasattr(model, "sample_observations"):
             raise DomainError(f"model {model!r} does not expose per-observation sampling")
         elems = model.n * model.d
         sample = model.sample_observations
-    else:
-        raise DomainError(f"unknown test input kind {kind!r}")
 
     def work(rng: np.random.Generator, m: int) -> list[tuple[float, float]]:
         vals = np.empty((len(tests), m))
@@ -214,18 +232,9 @@ def estimate_rejection_probs(
             draws = sample(theta, rng, hi - lo)
             for k, test in enumerate(tests):
                 vals[k, lo:hi] = test.evaluate_batch(draws)
-        return [(float(v.sum()), float((v * v).sum())) for v in vals]
+        return block_sums(vals)
 
-    parts = map_blocks(mc, tag, elems, work)
-    return [
-        summarize(
-            mc.reps,
-            math.fsum(p[k][0] for p in parts),
-            math.fsum(p[k][1] for p in parts),
-            mc.master_seed,
-        )
-        for k in range(len(tests))
-    ]
+    return summarize(mc.reps, map_blocks(mc, tag, elems, work), mc.master_seed)
 
 
 def estimate_rejection_prob(test, model, theta, mc: McConfig, tag: str = "rejection-prob") -> PowerEstimate:
@@ -240,9 +249,11 @@ __all__ = [
     "McConfig",
     "PowerEstimate",
     "block_layout",
+    "block_sums",
     "estimate_rejection_prob",
     "estimate_rejection_probs",
     "map_blocks",
+    "mean_se",
     "row_chunks",
     "run_blocks",
     "summarize",

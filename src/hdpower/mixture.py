@@ -18,13 +18,13 @@ z-test has vanishing size and full power against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
 from .errors import DomainError
-from .mc import McConfig, PowerEstimate, map_blocks, row_chunks, summarize
+from .mc import McConfig, PowerEstimate, block_sums, map_blocks, mean_se, row_chunks, summarize
 from .models import GaussianLocationModel, SpikeAlternative, spike_alternative, spike_magnitude
 from .testfuncs import TestFunction
 
@@ -92,23 +92,11 @@ class MixtureDiagnostics:
             raise DomainError("second moment exceeds the d^{-1/2} bound")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "second_moment_minus_one": self.second_moment_minus_one,
-            "paper_bound": self.paper_bound,
-            "power_gap_bound": self.power_gap_bound,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "MixtureDiagnostics":
-        return cls(
-            n=data["n"],
-            d=data["d"],
-            second_moment_minus_one=data["second_moment_minus_one"],
-            paper_bound=data["paper_bound"],
-            power_gap_bound=data["power_gap_bound"],
-        )
+        return cls(**data)
 
 
 def mixture_diagnostics(n: int, d: int) -> MixtureDiagnostics:
@@ -160,10 +148,8 @@ def _spike_scan(
         raise DomainError(f"test dimension {test.dim} does not match model dimension {d}")
     if test.consumes == "statistic":
         shape, shift = (d,), math.sqrt(n) * mag
-    elif test.consumes == "observations":
-        shape, shift = (n, d), mag
     else:
-        raise DomainError(f"unknown test input kind {test.consumes!r}")
+        shape, shift = (n, d), mag
     elems = math.prod(shape)
 
     def loop_columns(draws: np.ndarray):
@@ -198,36 +184,17 @@ def _spike_scan(
                 coord_sumsq[lo:hi] += (vals * vals).sum(axis=0)
                 pooled[r_lo:r_hi] += vals.sum(axis=1)
         pooled /= d
-        return (
-            m,
-            float(null_vals.sum()),
-            float((null_vals * null_vals).sum()),
-            coord_sum,
-            coord_sumsq,
-            float(pooled.sum()),
-            float((pooled * pooled).sum()),
-        )
+        return block_sums((null_vals, pooled)), coord_sum, coord_sumsq
 
     parts = map_blocks(mc, tag, elems, work)
-    reps = sum(p[0] for p in parts)
-    null_est = summarize(
-        reps, math.fsum(p[1] for p in parts), math.fsum(p[2] for p in parts), mc.master_seed
-    )
+    null_est, pooled_est = summarize(mc.reps, [p[0] for p in parts], mc.master_seed)
     # added in block order, without stacking the parts into a (blocks, d) array
     coord_sum = np.zeros(d)
     coord_sumsq = np.zeros(d)
-    for p in parts:
-        coord_sum += p[3]
-        coord_sumsq += p[4]
-    pooled_est = summarize(
-        reps, math.fsum(p[5] for p in parts), math.fsum(p[6] for p in parts), mc.master_seed
-    )
-    means = coord_sum / reps
-    if reps > 1:
-        variances = np.maximum(0.0, (coord_sumsq - coord_sum**2 / reps) / (reps - 1))
-        ses = np.sqrt(variances / reps)
-    else:
-        ses = np.zeros(d)
+    for _, block_sum, block_sumsq in parts:
+        coord_sum += block_sum
+        coord_sumsq += block_sumsq
+    means, ses = mean_se(mc.reps, coord_sum, coord_sumsq)
     return means, ses, pooled_est, null_est
 
 
@@ -272,32 +239,18 @@ class BlindSpotReport:
             raise DomainError(f"coordinate {self.coordinate} outside [1, {self.d}]")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "test_name": self.test_name,
-            "n": self.n,
-            "d": self.d,
-            "coordinate": self.coordinate,
-            "spike": self.spike.to_dict(),
-            "power_at_spike": self.power_at_spike.to_dict(),
-            "size": self.size.to_dict(),
-            "average_spike_power": self.average_spike_power.to_dict(),
-            "gap_bound": self.gap_bound,
-            "suggested_component": self.suggested_component,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "BlindSpotReport":
         return cls(
-            test_name=data["test_name"],
-            n=data["n"],
-            d=data["d"],
-            coordinate=data["coordinate"],
-            spike=SpikeAlternative.from_dict(data["spike"]),
-            power_at_spike=PowerEstimate.from_dict(data["power_at_spike"]),
-            size=PowerEstimate.from_dict(data["size"]),
-            average_spike_power=PowerEstimate.from_dict(data["average_spike_power"]),
-            gap_bound=data["gap_bound"],
-            suggested_component=data["suggested_component"],
+            **{
+                **data,
+                "spike": SpikeAlternative.from_dict(data["spike"]),
+                "power_at_spike": PowerEstimate.from_dict(data["power_at_spike"]),
+                "size": PowerEstimate.from_dict(data["size"]),
+                "average_spike_power": PowerEstimate.from_dict(data["average_spike_power"]),
+            }
         )
 
 

@@ -31,7 +31,7 @@ many rows are drawn together. ``theta`` is checked in full either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -94,21 +94,11 @@ class SpikeAlternative:
         return math.sqrt(self.n) * self.magnitude
 
     def to_dict(self) -> dict:
-        return {
-            "coordinate": self.coordinate,
-            "magnitude": self.magnitude,
-            "n": self.n,
-            "d": self.d,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpikeAlternative":
-        return cls(
-            coordinate=data["coordinate"],
-            magnitude=data["magnitude"],
-            n=data["n"],
-            d=data["d"],
-        )
+        return cls(**data)
 
 
 def spike_magnitude(n: int, d: int) -> float:
@@ -268,6 +258,7 @@ class FixedDesignRegression(_ModelBase):
     d: int
     design: np.ndarray
     noise_sd: float = 1.0
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x = np.asarray(self.design, dtype=float)
@@ -280,9 +271,10 @@ class FixedDesignRegression(_ModelBase):
         if self.noise_sd <= 0.0:
             raise DomainError(f"noise_sd must be > 0, got {self.noise_sd!r}")
         object.__setattr__(self, "design", x)
+        object.__setattr__(self, "gram", x.T @ x)
         # X'X/n is symmetric, so its condition number is the ratio of its
         # extreme eigenvalues; eigvalsh finds them without a full SVD
-        eig = np.linalg.eigvalsh(x.T @ x / self.n)
+        eig = np.linalg.eigvalsh(self.gram / self.n)
         cond = eig[-1] / eig[0] if eig[0] > 0.0 else np.inf
         if not cond <= _MAX_DESIGN_COND:
             raise DomainError(f"design is rank deficient or ill conditioned (cond={cond:.3g})")
@@ -305,10 +297,6 @@ class FixedDesignRegression(_ModelBase):
         signs[signs == 0.0] = 1.0
         q = q * signs
         return cls(n=n, d=d, design=math.sqrt(n) * q, noise_sd=noise_sd)
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        return self.design.T @ self.design
 
     @cached_property
     def _factor(self) -> np.ndarray:

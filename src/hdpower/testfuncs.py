@@ -51,7 +51,8 @@ class TestFunction:
 
     ``consumes`` is "statistic" for tests of the model's sufficient
     statistic and "observations" for tests that need raw per-observation
-    data (one batch element is then an (n_obs, dim) matrix).
+    data (one batch element is then an (n_obs, dim) matrix). Construction
+    rejects any other value, so the sampling loops need not.
 
     ``batch`` maps rows independently: a row's value depends only on that
     row, never on the other rows or on the batch size. The Monte Carlo
@@ -88,6 +89,8 @@ class TestFunction:
     coordinate: int | None = None
 
     def __post_init__(self) -> None:
+        if self.consumes not in ("statistic", "observations"):
+            raise DomainError(f"test {self.name!r}: unknown input kind {self.consumes!r}")
         if self.coordinate is not None:
             if self.consumes != "statistic" or not 0 <= self.coordinate < self.dim:
                 raise DomainError(

@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 import hdpower
-from hdpower import BlindSpotReport, MixtureDiagnostics, __version__, distributions
+from hdpower import BlindSpotReport, MixtureDiagnostics, __version__, distributions, harness
 from hdpower.cli import build_parser, main
 
 SUBCOMMANDS = (
@@ -225,6 +225,21 @@ class TestOutputs:
         assert code == 3
         assert out == ""
         assert "decay" in err
+
+    @pytest.mark.parametrize("command", ["demo", "power-curve"])
+    def test_observation_test_refused_before_the_scan(self, command, monkeypatch, capsys):
+        def scan(*args, **kwargs):
+            raise AssertionError("the blind-spot scan ran")
+
+        monkeypatch.setattr(harness, "find_blind_spot", scan)
+        code, out, err = run_cli(
+            [command, "--test", "tscore", "--d-rule", "linear", "--n-grid", "64,128",
+             "--reps", "1000", "--seed", "1"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert "cannot combine tests consuming different inputs" in err
 
     def test_unconverged_kernel_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(distributions, "_POISSON_MAX_STEPS", 10)

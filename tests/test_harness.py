@@ -41,7 +41,7 @@ from hdpower import (
 from hdpower import mc as mc_module
 from hdpower.cli import main
 from hdpower.harness import RESULT_COLUMNS, ks_two_sample
-from hdpower.mc import block_layout, map_blocks, row_chunks
+from hdpower.mc import block_layout, map_blocks, mean_se, row_chunks
 from hdpower.rng import substream
 
 
@@ -100,6 +100,20 @@ class TestMapBlocks:
         mc = McConfig(reps=2 * mc_module.BLOCK_REPS, master_seed=9, workers=2)
         estimate_rejection_prob(chi2_euclidean_test(100, 300, 0.05), model, np.zeros(300), mc)
         assert built == [2]
+
+
+class TestMeanSe:
+    def test_array_call_matches_scalar_calls_bit_for_bit(self):
+        rng = substream(4, "mean-se")
+        for count in (1, 2, 1_000, 10_007):
+            vals = (rng.random((count, 64)) < rng.random(64)).astype(float)
+            vals[:, :8] = rng.random((count, 8))
+            total, total_sq = vals.sum(axis=0), (vals * vals).sum(axis=0)
+            means, ses = mean_se(count, total, total_sq)
+            for k in range(vals.shape[1]):
+                mean, se = mean_se(count, float(total[k]), float(total_sq[k]))
+                assert float(means[k]).hex() == float(mean).hex()
+                assert float(ses[k]).hex() == float(se).hex()
 
 
 class TestEstimateRejectionProb:

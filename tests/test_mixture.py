@@ -13,6 +13,7 @@ from hdpower import (
     DomainError,
     GaussianLocationModel,
     McConfig,
+    PowerEstimate,
     RegimeSpec,
     average_spike_power,
     chi2_euclidean_test,
@@ -226,6 +227,32 @@ class TestFindBlindSpot:
         )
         slack = 3.0 * (report.size.se + report.average_spike_power.se)
         assert abs(report.size.mean - report.average_spike_power.mean) <= report.gap_bound + slack
+
+
+def _records():
+    n, d = 100, 16
+    size = PowerEstimate(mean=0.05, se=0.005, reps=1_000, seed=3)
+    report = BlindSpotReport(
+        test_name="chi2(alpha=0.05)",
+        n=n,
+        d=d,
+        coordinate=4,
+        spike=spike_alternative(n, d, 4),
+        power_at_spike=PowerEstimate(mean=0.04, se=0.006, reps=1_000, seed=3),
+        size=size,
+        average_spike_power=PowerEstimate(mean=0.07, se=0.004, reps=1_000, seed=3),
+        gap_bound=power_gap_bound(n, d),
+        suggested_component="spike:i=4",
+    )
+    return [size, spike_alternative(n, d, 4), mixture_diagnostics(n, d), report]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_record_json_round_trip(record):
+    data = json.loads(json.dumps(record.to_dict()))
+    assert type(record).from_dict(data) == record
+    with pytest.raises(TypeError):
+        type(record).from_dict({**data, "unknown": 0})
 
 
 KERNEL_SPECS = (

@@ -242,6 +242,11 @@ class TestCoordinate:
         with pytest.raises(DomainError, match="coordinate"):
             testfuncs.TestFunction(name="t", dim=4, batch=batch, consumes="observations", coordinate=0)
 
+    def test_input_kind_checked_at_construction(self):
+        batch = lambda z: np.zeros(len(z))  # noqa: E731
+        with pytest.raises(DomainError, match="input kind"):
+            testfuncs.TestFunction(name="t", dim=4, batch=batch, consumes="bogus")
+
 
 class TestNanRejection:
     @staticmethod
