@@ -147,10 +147,9 @@ def _spike_scan(
     if test.dim != d:
         raise DomainError(f"test dimension {test.dim} does not match model dimension {d}")
     if test.consumes == "statistic":
-        shape, shift = (d,), math.sqrt(n) * mag
+        elems, shift = d, math.sqrt(n) * mag
     else:
-        shape, shift = (n, d), mag
-    elems = math.prod(shape)
+        elems, shift = n * d, mag
 
     def loop_columns(draws: np.ndarray):
         def cols(lo: int, hi: int) -> np.ndarray:
@@ -171,7 +170,10 @@ def _spike_scan(
         coord_sum = np.zeros(d)
         coord_sumsq = np.zeros(d)
         for r_lo, r_hi in row_chunks(m, elems):
-            draws = rng.standard_normal((r_hi - r_lo, *shape))
+            if test.consumes == "statistic":
+                draws = rng.standard_normal((r_hi - r_lo, d))
+            else:
+                draws = model.sample_observations(np.zeros(d), rng, r_hi - r_lo)
             null_vals[r_lo:r_hi] = test.evaluate_batch(draws)
             cols = test.spike_columns(draws, shift) if test.consumes == "statistic" else None
             if cols is None:

@@ -17,7 +17,8 @@ many rows are drawn together. ``theta`` is checked in full either way.
 
 - GaussianLocationModel: n i.i.d. N_d(theta, I_d) observations, sufficient
   statistic Z = n^{-1/2} * sum(X_i) ~ N_d(sqrt(n) theta, I_d). Also exposes
-  per-observation sampling for tests that consume raw data.
+  per-observation sampling for tests that consume raw data: shape
+  (size, n, d), with coordinate-major memory (a transposed view).
 - ScaledGaussianModel: n i.i.d. N_d(theta, d^3 I_d) observations with the
   open cube (-1, 1)^d as parameter space; the sufficient statistic (the
   sample mean ~ N_d(theta, (d^3/n) I_d)) is sampled directly since the law
@@ -169,12 +170,15 @@ class GaussianLocationModel(_ModelBase):
         return z
 
     def sample_observations(self, theta, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Raw data X ~ N_d(theta, I_d)^n, shape (size, n, d)."""
+        """Raw data X ~ N_d(theta, I_d)^n, shape (size, n, d) with
+        coordinate-major memory: the (size, n, d) view of a (size, d, n)
+        draw, so each coordinate's n values in a row are contiguous. Row i
+        uses the normals drawn for it alone, coordinate by coordinate."""
         arr = self.require_member(theta)
-        x = rng.standard_normal((size, self.n, self.d))
+        x = rng.standard_normal((size, self.d, self.n))
         if np.any(arr != 0.0):
-            x += arr
-        return x
+            x += arr[:, np.newaxis]
+        return x.transpose(0, 2, 1)
 
     def central_sequence(self, stats: np.ndarray) -> np.ndarray:
         return np.asarray(stats, dtype=float)

@@ -52,7 +52,9 @@ class TestFunction:
     ``consumes`` is "statistic" for tests of the model's sufficient
     statistic and "observations" for tests that need raw per-observation
     data (one batch element is then an (n_obs, dim) matrix). Construction
-    rejects any other value, so the sampling loops need not.
+    rejects any other value, so the sampling loops need not. An observation
+    batch may be a non-contiguous view: the model draws it coordinate-major
+    (see ``GaussianLocationModel.sample_observations``).
 
     ``batch`` maps rows independently: a row's value depends only on that
     row, never on the other rows or on the batch size. The Monte Carlo
@@ -149,6 +151,29 @@ def chi2_exact_power(n: int, d: int, alpha: float, theta) -> float:
     arr = np.asarray(theta, dtype=float)
     lam = n * float(arr @ arr)
     return clamp01(1.0 - noncentral_chi2_cdf(d, lam, chi2_quantile(d, 1.0 - alpha)))
+
+
+def _truncation_efficiency(d: int, C: float) -> float:
+    """v = chi2_cdf(d + 2, C^2): the share of the score variance that
+    truncation at radius C keeps (1 for C = inf)."""
+    if not C > 0.0:
+        raise DomainError(f"truncation radius must be > 0, got {C!r}")
+    return 1.0 if math.isinf(C) else chi2_cdf(d + 2, C * C)
+
+
+def tscore_limit_power(n: int, d: int, alpha: float, C: float, theta) -> float:
+    """Limiting local power of ``truncated_score_test`` at radius ``C``.
+
+    With h = sqrt(n) theta held fixed as n grows, the truncated score has
+    mean v h + O(||h||^3 / n) and covariance tending to v I_d, where
+    v = chi2_cdf(d + 2, C^2) is the efficiency the truncation costs (v = 1
+    for C = inf). The power then tends to 1 - F(chi2_quantile(d, 1 - alpha))
+    for F the noncentral chi-square law with d degrees of freedom and
+    noncentrality v ||h||^2: the chi-square test's power with its
+    noncentrality scaled by v. This is a limit, not the finite-n power.
+    """
+    # the chi-square test's power at v * n observations
+    return chi2_exact_power(_truncation_efficiency(d, float(C)) * n, d, alpha, theta)
 
 
 def _spike_threshold(n: int, d: int) -> float:
@@ -364,10 +389,7 @@ def truncated_score_test(
     if C is None:
         C = 3.0 * math.sqrt(d)
     C = float(C)
-    if not C > 0.0:
-        raise DomainError(f"truncation radius must be > 0, got {C!r}")
-
-    cov_coef = 1.0 if math.isinf(C) else chi2_cdf(d + 2, C * C)
+    cov_coef = _truncation_efficiency(d, C)
     if cov_coef < 1e-8:
         raise DomainError(
             f"truncated-score covariance is numerically singular: C={C:g} keeps "
@@ -378,11 +400,14 @@ def truncated_score_test(
     def batch(x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != n or x.shape[2] != d:
             raise DomainError(f"expected observation batches of shape (m, {n}, {d}), got {x.shape}")
+        # numpy orders a reduction by memory layout, so every batch is read
+        # coordinate-major, the layout the model draws (no copy then)
+        xt = np.ascontiguousarray(x.transpose(0, 2, 1))
         if math.isinf(C):
-            scores = x.sum(axis=1)
+            scores = xt.sum(axis=2)
         else:
-            keep = np.einsum("ijk,ijk->ij", x, x) <= C * C
-            scores = np.einsum("ijk,ij->ik", x, keep.astype(float))
+            keep = np.einsum("ikj,ikj->ij", xt, xt) <= C * C
+            scores = np.einsum("ikj,ij->ik", xt, keep.astype(float))
         stat = np.linalg.norm(scores, axis=1) / math.sqrt(n)
         return (stat >= q_alpha).astype(float)
 

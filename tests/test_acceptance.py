@@ -245,6 +245,8 @@ def test_criterion_9_reproducibility(tmp_path, capsys):
         "nontestability": ["nontestability", "--n-grid", "100,1000"],
         "demo": ["demo", "--test", "chi2:alpha=0.05", "--d-rule", "linear",
                   "--n-grid", "16,32", "--reps", "1000", "--seed", "26"],
+        "simulate-tscore": ["simulate", "--test", "tscore", "--n", "200", "--d", "2",
+                             "--theta=0.1,0.0", "--reps", "2000", "--seed", "27"],
     }
     for name, argv in cases.items():
         outputs = []

@@ -65,6 +65,17 @@ class TestGaussianLocation:
         means = x.mean(axis=(0, 1))
         assert np.all(np.abs(means - [0.5, 0.0, -0.5]) < 3.0 / math.sqrt(20_000 * 7))
 
+    def test_observations_are_drawn_coordinate_major(self):
+        n, d = 6, 4
+        theta = np.array([0.5, -1.25, 0.0, 2.0])
+        x = GaussianLocationModel(n=n, d=d).sample_observations(theta, substream(5, "layout"), 3)
+        expected = substream(5, "layout").standard_normal((3, d, n)).transpose(0, 2, 1) + theta
+        assert x.shape == (3, n, d)
+        assert np.array_equal(x, expected)
+        for i in range(3):
+            for k in range(d):
+                assert x[i, :, k].flags.c_contiguous
+
     def test_membership(self):
         model = GaussianLocationModel(n=10, d=2)
         assert model.contains([1e8, -1e8])

@@ -33,6 +33,7 @@ from hdpower import (
     sup_norm_exact_size,
     sup_norm_test,
     truncated_score_test,
+    tscore_limit_power,
     wald_test,
     wald_test_at_level,
 )
@@ -374,9 +375,42 @@ def _boundary_rows(test: testfuncs.TestFunction, count: int, seed: int) -> np.nd
     return rows
 
 
+def _boundary_observations(
+    test: testfuncs.TestFunction, n: int, radius: float, count: int, seed: int
+) -> np.ndarray:
+    """Observation rows for the truncated-score ``test`` at ``radius``, in
+    the model's coordinate-major layout, alternately on the accepting and the
+    rejecting side of adjacent floats as the test evaluates all of them at
+    once. The first half are rows of unit observations scaled until they
+    reach the truncation radius; the second half are rows scaled, inside the
+    radius, until the statistic reaches the threshold."""
+    d = test.dim
+    shift = np.zeros(d)
+    shift[0] = 2.0
+    rows = GaussianLocationModel(n=n, d=d).sample_observations(
+        shift, substream(seed, "boundary-observations"), count
+    )
+    for k in range(count):
+        base = rows[k].copy()
+        if k < count // 2:
+            base /= np.linalg.norm(base, axis=1, keepdims=True)
+            lo, hi = 0.5 * radius, 2.0 * radius
+        else:
+            lo, hi = 0.0, 0.99 * radius / np.linalg.norm(base, axis=1).max()
+
+        def value(c: float) -> float:
+            rows[k] = c * base
+            return test.batch(rows)[k]
+
+        found = _bisect(value, lo, hi)
+        assert found is not None
+        rows[k] = found[k % 2] * base
+    return rows
+
+
 class TestRowGrouping:
-    """A built-in statistic test's values do not depend on how many rows it
-    evaluates at once, even for statistics that land on its threshold."""
+    """A built-in test's values do not depend on how many rows it evaluates
+    at once, even for rows that land on its threshold."""
 
     SPECS = (
         "chi2",
@@ -410,6 +444,17 @@ class TestRowGrouping:
             whole = test.spike_columns(z, shift)(0, d)
             grouped = np.concatenate([test.spike_columns(z[g], shift)(0, d) for g in groups])
             assert np.array_equal(whole, grouped)
+
+    @pytest.mark.parametrize("d", [2, 5, 64])
+    def test_tscore_rows_and_layouts(self, d):
+        n = 16
+        test = make_test("tscore", n, d)
+        x = _boundary_observations(test, n, 3.0 * math.sqrt(d), 12, seed=d)
+        whole = test.batch(x)
+        assert 0.0 < whole.sum() < 12.0
+        groups = (slice(0, 1), slice(1, 4), slice(4, 12))
+        assert np.array_equal(whole, np.concatenate([test.batch(x[g]) for g in groups]))
+        assert np.array_equal(whole, test.batch(np.ascontiguousarray(x)))
 
 
 class TestTruncatedScore:
@@ -451,6 +496,33 @@ class TestTruncatedScore:
         assert test.consumes == "observations"
         value = test.evaluate(np.zeros((10, 2)))
         assert value in (0.0, 1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 20])
+    def test_limit_power_is_scaled_noncentral_chi2(self, d):
+        n, alpha = 400, 0.05
+        crit = stats.chi2.ppf(1.0 - alpha, d)
+        for C in (1.0, 2.5, 3.0 * math.sqrt(d), math.inf):
+            v = 1.0 if math.isinf(C) else stats.chi2.cdf(C * C, d + 2)
+            for h in (0.0, 0.5, 2.0, 6.0):
+                theta = np.full(d, h / math.sqrt(n * d))
+                oracle = stats.ncx2.sf(crit, d, v * h * h) if h else stats.chi2.sf(crit, d)
+                assert abs(tscore_limit_power(n, d, alpha, C, theta) - oracle) < 1e-9
+
+    @pytest.mark.parametrize("d, C", [(2, 3.0 * math.sqrt(2)), (5, 2.5)])
+    def test_limit_power_matches_mc(self, d, C):
+        n = 1_000
+        model = GaussianLocationModel(n=n, d=d)
+        test = truncated_score_test(model, 0.05, C)
+        for h in (0.0, 3.0):
+            theta = np.zeros(d)
+            theta[0] = h / math.sqrt(n)
+            limit = tscore_limit_power(n, d, 0.05, C, theta)
+            est = estimate_rejection_prob(test, model, theta, McConfig(reps=8_000, master_seed=28))
+            assert abs(est.mean - limit) <= 4.0 * est.se
+
+    def test_limit_power_rejects_bad_radius(self):
+        with pytest.raises(DomainError):
+            tscore_limit_power(10, 2, 0.05, 0.0, np.zeros(2))
 
     def test_truncated_mean_shift_lower_bound(self):
         # the norm of the truncated-score mean shift stays proportional to
