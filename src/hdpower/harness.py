@@ -246,13 +246,16 @@ def consistency_diagnostic(
     to the exact chi-square-test power (noncentral closed form): the power
     tends to 1 exactly when the criterion diverges."""
     out = []
+    thresholds: dict[int, float] = {}
     for n in regime.n_grid:
         d = regime.d_of(n)
         theta = np.asarray(theta_rule(n, d), dtype=float)
         GaussianLocationModel(n=n, d=d).require_member(theta)
         lam = n * float(theta @ theta)
         criterion = lam / math.sqrt(d)
-        power = 1.0 - noncentral_chi2_cdf(d, lam, chi2_quantile(d, 1.0 - regime.alpha))
+        if d not in thresholds:
+            thresholds[d] = chi2_quantile(d, 1.0 - regime.alpha)
+        power = 1.0 - noncentral_chi2_cdf(d, lam, thresholds[d])
         out.append({"n": n, "d": d, "criterion": criterion, "exact_chi2_power": power})
     return out
 

@@ -89,11 +89,6 @@ class SpikeAlternative:
         out[self.coordinate - 1] = self.magnitude
         return out
 
-    @property
-    def mean_shift(self) -> float:
-        """Shift of the statistic coordinate, sqrt(n) * magnitude."""
-        return math.sqrt(self.n) * self.magnitude
-
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -2,10 +2,10 @@
 
 Every test is a ``TestFunction``: a deterministic map from an observed
 statistic to a rejection value in [0, 1], carrying enough metadata (name,
-nominal level, input dimension and kind) for the Monte Carlo engine to treat
-it as a black box. Tests return values rather than booleans so randomized
-tests are representable; the engine averages the values directly, which is
-an unbiased, lower-variance estimate of the same rejection probability.
+input dimension and kind) for the Monte Carlo engine to treat it as a black
+box. Tests return values rather than booleans so randomized tests are
+representable; the engine averages the values directly, which is an
+unbiased, lower-variance estimate of the same rejection probability.
 
 The string mini-grammar ``name(:key=value,...)`` with ``enhance(a,b)``
 composition is parsed here as well (see ``make_test``).
@@ -85,7 +85,6 @@ class TestFunction:
     name: str
     dim: int
     batch: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    level: float | None = None
     consumes: str = "statistic"
     spike_kernel: SpikeKernel | None = field(default=None, repr=False)
     coordinate: int | None = None
@@ -140,9 +139,7 @@ def chi2_euclidean_test(n: int, d: int, alpha: float) -> TestFunction:
         base = np.einsum("ij,ij->i", z, z)[:, np.newaxis] + shift * shift
         return lambda lo, hi: (base + 2.0 * shift * z[:, lo:hi] > threshold).astype(float)
 
-    return TestFunction(
-        name=f"chi2(alpha={alpha:g})", dim=d, batch=batch, level=alpha, spike_kernel=spike_kernel
-    )
+    return TestFunction(name=f"chi2(alpha={alpha:g})", dim=d, batch=batch, spike_kernel=spike_kernel)
 
 
 def chi2_exact_power(n: int, d: int, alpha: float, theta) -> float:
@@ -210,7 +207,6 @@ def spike_z_test(n: int, d: int, i: int) -> TestFunction:
         name=f"spike(i={i})",
         dim=d,
         batch=batch,
-        level=spike_z_exact_size(n, d),
         spike_kernel=spike_kernel,
         coordinate=idx,
     )
@@ -260,16 +256,15 @@ def sup_norm_test(n: int, d: int) -> TestFunction:
 
         return cols
 
-    return TestFunction(
-        name="supnorm", dim=d, batch=batch, level=sup_norm_exact_size(d), spike_kernel=spike_kernel
-    )
+    return TestFunction(name="supnorm", dim=d, batch=batch, spike_kernel=spike_kernel)
 
 
 def sup_norm_exact_size(d: int) -> float:
-    """Exact size under independent standard normal coordinates."""
+    """Exact size under independent standard normal coordinates,
+    1 - (1 - 2 Phi(-t))^d at t = sqrt(2 log d), in the expm1/log1p form that
+    keeps full relative accuracy where (1 - 2 Phi(-t))^d rounds near 1."""
     threshold = math.sqrt(2.0 * math.log(d))
-    inside = 2.0 * std_normal_cdf(threshold) - 1.0
-    return clamp01(1.0 - inside**d)
+    return clamp01(-math.expm1(d * math.log1p(-2.0 * std_normal_cdf(-threshold))))
 
 
 def halfspace_test(n: int, d: int, alpha: float = 0.05, seed: int = 0) -> TestFunction:
@@ -298,7 +293,6 @@ def halfspace_test(n: int, d: int, alpha: float = 0.05, seed: int = 0) -> TestFu
         name=f"halfspace(alpha={alpha:g},seed={seed})",
         dim=d,
         batch=batch,
-        level=alpha,
         spike_kernel=spike_kernel,
     )
 
@@ -319,7 +313,6 @@ def constant_test(d: int, value: float = 1.0) -> TestFunction:
         name="one" if value == 1.0 else f"const({value:g})",
         dim=d,
         batch=batch,
-        level=value,
         spike_kernel=spike_kernel,
     )
 
@@ -358,7 +351,6 @@ def enhance(phi: TestFunction, nu: TestFunction) -> TestFunction:
         name=f"enhance({phi.name},{nu.name})",
         dim=phi.dim,
         batch=batch,
-        level=phi.level,
         consumes=phi.consumes,
         spike_kernel=spike_kernel,
         coordinate=phi.coordinate if phi.coordinate == nu.coordinate else None,
@@ -415,7 +407,6 @@ def truncated_score_test(
         name=f"tscore(alpha={alpha:g},C={C:g})",
         dim=d,
         batch=batch,
-        level=alpha,
         consumes="observations",
     )
 
@@ -440,7 +431,7 @@ def wald_test_at_level(model: FixedDesignRegression, alpha: float) -> TestFuncti
     under the orthonormal default design with unit noise."""
     alpha = _check_alpha(alpha)
     test = wald_test(model, math.sqrt(chi2_quantile(model.d, 1.0 - alpha)))
-    return replace(test, name=f"wald(alpha={alpha:g})", level=alpha)
+    return replace(test, name=f"wald(alpha={alpha:g})")
 
 
 # ---------------------------------------------------------------------------

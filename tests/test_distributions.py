@@ -100,6 +100,65 @@ class TestChi2Cdf:
             chi2_cdf(3, float("nan"))
 
 
+def _bisection_chi2_quantile(dof, p):
+    """chi2_quantile as it was before the replay: every bracket end and
+    midpoint evaluates the CDF. The reference the replay must match bit for
+    bit."""
+    hi = dof + 10.0 * math.sqrt(2.0 * dof) + 10.0
+    while chi2_cdf(dof, hi) < p:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if chi2_cdf(dof, mid) < p:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-13 * max(1.0, mid):
+            break
+    x = 0.5 * (lo + hi)
+    for _ in range(3):
+        dens = distributions.chi2_pdf(dof, x)
+        if dens < 1e-280:
+            break
+        step = (chi2_cdf(dof, x) - p) / dens
+        candidate = x - step
+        if candidate <= 0.0:
+            break
+        x = candidate
+        if abs(step) < 1e-10 * max(1.0, x):
+            break
+    return x
+
+
+REPLAY_DOFS = (1, 2, 3, 5, 17, 64, 256, 1000, 4096, 10**5, 10**7)
+REPLAY_PS = (1e-12, 1e-6, 1e-3, 0.05, 0.5, 0.95, 0.999, 1.0 - 1e-9, 1.0 - 1e-14)
+
+
+def _replay_points():
+    points = [(dof, p) for dof in REPLAY_DOFS for p in REPLAY_PS]
+    rng = np.random.default_rng(20261021)
+    for _ in range(300):
+        dof = int(10 ** rng.uniform(0.0, 4.0))
+        kind, u = rng.integers(3), rng.uniform()
+        p = (10 ** (-12 * u), 1.0 - 10 ** (-14 * u), u)[kind]
+        if 0.0 < p < 1.0:
+            points.append((dof, float(p)))
+    return points
+
+
+def _count_cdf_calls(monkeypatch):
+    calls = []
+    cdf = distributions.chi2_cdf
+
+    def counting(dof, x):
+        calls.append(x)
+        return cdf(dof, x)
+
+    monkeypatch.setattr(distributions, "chi2_cdf", counting)
+    return calls
+
+
 class TestChi2Quantile:
     def test_frozen_values(self):
         assert abs(chi2_quantile(1, 0.95) - 3.841458820694124) < 1e-7
@@ -109,6 +168,27 @@ class TestChi2Quantile:
         for dof in (1, 2, 5, 17, 64):
             for p in (0.01, 0.1, 0.5, 0.9, 0.99):
                 assert abs(chi2_cdf(dof, chi2_quantile(dof, p)) - p) < 1e-10
+
+    def test_replay_keeps_the_bisection_bits(self):
+        for dof, p in _replay_points():
+            assert chi2_quantile(dof, p) == _bisection_chi2_quantile(dof, p), (dof, p)
+
+    def test_replay_saves_cdf_calls(self, monkeypatch):
+        # the full bisection makes 46 to 48 calls at these points
+        calls = _count_cdf_calls(monkeypatch)
+        for dof in (1, 5, 256, 1024, 10**4, 10**6, 10**7):
+            calls.clear()
+            chi2_quantile(dof, 0.95)
+            assert len(calls) <= 24, (dof, len(calls))
+
+    def test_failed_root_search_evaluates_every_midpoint(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_ROOT_ITERS", 0)
+        calls = _count_cdf_calls(monkeypatch)
+        for dof, p in [(1, 0.95), (5, 0.05), (256, 0.95), (10**4, 1e-6), (30, 1.0 - 1e-12)]:
+            want = _bisection_chi2_quantile(dof, p)
+            calls.clear()
+            assert chi2_quantile(dof, p) == want, (dof, p)
+            assert len(calls) >= 45, (dof, p)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -181,6 +261,11 @@ FROZEN_QUANTILES = {
     (2, 0.99): 9.210340371976189,
     (64, 0.99): 93.21685966023847,
     (4096, 0.99): 4309.493570490008,
+    # frozen before chi2_quantile replayed its bisection from a Newton root
+    (10**6, 0.95): 1002327.310781219,
+    (10**7, 0.95): 10007357.145899259,
+    (5, 0.05): 1.1454762260617697,
+    (1, 1e-3): 1.5707971492624917e-06,
 }
 
 SWEEP_DOFS = sorted({round(10 ** (k / 2)) for k in range(15)})  # 1 .. 1e7

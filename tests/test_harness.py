@@ -20,6 +20,7 @@ from hdpower import (
     SpecError,
     chi2_exact_power,
     chi2_euclidean_test,
+    chi2_quantile,
     consistency_diagnostic,
     constant_test,
     embedding_equivalence_check,
@@ -39,6 +40,7 @@ from hdpower import (
     sup_norm_test,
 )
 from hdpower import mc as mc_module
+from hdpower import harness
 from hdpower.cli import main
 from hdpower.harness import RESULT_COLUMNS, ks_two_sample
 from hdpower.mc import block_layout, map_blocks, mean_se, row_chunks
@@ -461,6 +463,25 @@ class TestConsistencyDiagnostic:
         assert all(b > a for a, b in zip(crits, crits[1:]))
         assert all(b > a for a, b in zip(powers, powers[1:]))
         assert powers[-1] > 0.99
+
+    def test_fixed_d_threshold_computed_once(self, monkeypatch):
+        regime = RegimeSpec("fixed:5", tuple(round(10 ** (1 + k / 8)) for k in range(41)))
+
+        def rule(n, d):
+            theta = np.zeros(d)
+            theta[0] = n**-0.5
+            return theta
+
+        want = consistency_diagnostic(rule, regime)
+        calls = []
+
+        def counting(dof, p):
+            calls.append((dof, p))
+            return chi2_quantile(dof, p)
+
+        monkeypatch.setattr(harness, "chi2_quantile", counting)
+        assert consistency_diagnostic(rule, regime) == want
+        assert calls == [(5, 0.95)]
 
     def test_zero_theta(self):
         rows = consistency_diagnostic(lambda n, d: np.zeros(d), RegimeSpec("linear", (50,)))

@@ -139,9 +139,24 @@ class TestSpikeZTest:
             spike_z_test(10, 4, 5)
 
 
+# 1 - (1 - erfc(t / sqrt(2)))^d at t = sqrt(2 log d), from 50-digit mpmath
+SUP_NORM_SIZES = {
+    10**3: 0.1826475287007380536440424,
+    10**5: 0.1477179477404167187711352,
+    10**7: 0.127614537867439922228118,
+    10**9: 0.1140894520349183356931927,
+    10**12: 0.1001129886433193761840716,
+}
+
+
 class TestSupNormTest:
     def test_exact_size_frozen(self):
         assert abs(sup_norm_exact_size(100) - 0.21411277625128955) < 1e-12
+
+    def test_exact_size_at_large_d(self):
+        # the (2 Phi(t) - 1)^d form was off by 1.3e-5 at d = 1e12
+        for d, want in SUP_NORM_SIZES.items():
+            assert abs(sup_norm_exact_size(d) - want) < 1e-13, d
 
     def test_mc_matches_exact(self):
         n, d = 100, 100
